@@ -32,12 +32,7 @@ from .monogenic import (
     is_monogenic,
     structural_constraints,
 )
-from .scan import (
-    COMPILED_COEFF_LIMIT,
-    active_backend,
-    has_compiled_kernel,
-    scan_c4_candidates,
-)
+from .scan import active_backend, scan_c4_candidates
 from .search import (
     CSV_HEADER,
     Disagreement,
@@ -64,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchIntermediates",
-    "COMPILED_COEFF_LIMIT",
     "CSV_HEADER",
     "Classification",
     "DegenerateTrinomialError",
@@ -87,7 +81,6 @@ __all__ = [
     "distinct_fields",
     "factor",
     "factor_discriminant",
-    "has_compiled_kernel",
     "is_c4",
     "is_irreducible",
     "is_monogenic",

@@ -1,48 +1,43 @@
-"""Pure-Python box scan for the cyclic-quartic square condition.
+"""Exact enumeration of the cyclic quartic cells of a box.
 
-Finds every (b, d) in a rectangle where d and e = b^2 - 4d are non-squares
-while d*e is a perfect square; by the classification in :mod:`.trinomial`
-those are exactly the x^4 + b*x^2 + d with cyclic quartic Galois group
-(non-squareness of d and e already rules out every factorization).  This is
-the portable fallback; :mod:`._scan` is the compiled twin and must return
-bit-identical results.
+x^4 + b*x^2 + d has cyclic quartic Galois group exactly when d and
+e = b^2 - 4d are non-squares while d*e is a perfect square (see
+:mod:`.trinomial`).  A positive square product with both factors
+non-square means d and e share a squarefree part s > 1: d = s*u^2 and
+e = s*v^2.  Then b^2 = e + 4d = s*(v^2 + 4u^2), so the squarefree s divides
+b; writing b = s*w leaves v^2 = s*w^2 - 4u^2.  Conversely every squarefree
+s > 1, u >= 1 and w with s*w^2 - 4u^2 a positive square gives such a cell,
+and the cell determines (s, u, w).  Listing the triples therefore visits
+about B*sqrt(D) points of a B x D box instead of all B*D cells.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-__all__ = ["scan_c4"]
+from .intarith import is_squarefree
 
-# residues mod 256 that perfect squares can take; rejects most non-squares
-# before paying for an integer square root
-_SQ256 = bytearray(256)
-for _i in range(256):
-    _SQ256[(_i * _i) & 255] = 1
-del _i
+__all__ = ["scan_c4"]
 
 
 def scan_c4(b_min: int, b_max: int, d_min: int, d_max: int) -> list[tuple[int, int]]:
     """All (b, d) in the box with cyclic quartic Galois group, (b, d)-ascending."""
     out = []
-    for b in range(b_min, b_max + 1):
-        bb = b * b
-        for d in range(d_min, d_max + 1):
-            e = bb - 4 * d
-            p = d * e
-            # a positive square product forces d > 0 and e > 0
-            if p <= 0:
+    b_abs = max(abs(b_min), abs(b_max))
+    for u in range(1, isqrt(max(d_max, 0)) + 1):
+        uu = u * u
+        for s in range(max(2, -(-d_min // uu)), min(d_max // uu, b_abs) + 1):
+            if not is_squarefree(s):
                 continue
-            if not _SQ256[p & 255]:
-                continue
-            r = isqrt(p)
-            if r * r != p:
-                continue
-            r = isqrt(d)
-            if r * r == d:
-                continue
-            r = isqrt(e)
-            if r * r == e:
-                continue
-            out.append((b, d))
+            d = s * uu
+            # s*w^2 > 4u^2 exactly when |w| > isqrt(4u^2 // s)
+            w_abs = isqrt(4 * uu // s) + 1
+            for w in range(-(-b_min // s), b_max // s + 1):
+                if -w_abs < w < w_abs:
+                    continue
+                vv = s * w * w - 4 * uu
+                v = isqrt(vv)
+                if v * v == vv:
+                    out.append((s * w, d))
+    out.sort()
     return out

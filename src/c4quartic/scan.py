@@ -1,78 +1,25 @@
-"""Backend selection for the box scan: compiled kernel when available.
+"""Validated entry point for the cyclic quartic box scan.
 
-The compiled extension is optional; builds without a C compiler fall back
-to the pure-Python scan transparently.  Setting the environment variable
-``C4QUARTIC_PURE=1`` before import forces the fallback, and callers can pin
-either backend per call via the ``backend`` argument.  Both backends return
-identical lists; the compiled one is only valid for coefficients within
-``COMPILED_COEFF_LIMIT``, where its 128-bit intermediates cannot overflow.
+The work is done by the exact (s, u, w) enumeration in :mod:`._scan_py`;
+this module checks the box and names the backend for run records.
 """
 
 from __future__ import annotations
 
-import os
+from ._scan_py import scan_c4
 
-from . import _scan_py as _pure
-
-try:
-    from . import _scan as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
-if os.environ.get("C4QUARTIC_PURE") == "1":
-    _compiled = None
-
-__all__ = [
-    "COMPILED_COEFF_LIMIT",
-    "active_backend",
-    "has_compiled_kernel",
-    "scan_c4_candidates",
-]
-
-COMPILED_COEFF_LIMIT = 1 << 40
-
-
-def has_compiled_kernel() -> bool:
-    return _compiled is not None
+__all__ = ["active_backend", "scan_c4_candidates"]
 
 
 def active_backend() -> str:
-    """Name of the backend a plain call would use: 'compiled' or 'pure'."""
-    return "compiled" if _compiled is not None else "pure"
-
-
-def _fits_compiled(b_min: int, b_max: int, d_min: int, d_max: int) -> bool:
-    corners = (abs(b_min), abs(b_max), abs(d_min), abs(d_max))
-    return max(corners) <= COMPILED_COEFF_LIMIT
+    """Name of the scan implementation; there is one, in pure Python."""
+    return "pure"
 
 
 def scan_c4_candidates(
-    b_min: int,
-    b_max: int,
-    d_min: int,
-    d_max: int,
-    *,
-    backend: str | None = None,
+    b_min: int, b_max: int, d_min: int, d_max: int
 ) -> list[tuple[int, int]]:
-    """All cyclic quartic (b, d) in the box, ascending; see :func:`_scan_py.scan_c4`.
-
-    ``backend=None`` picks the fastest valid backend; 'compiled' or 'pure'
-    pin one, raising if the pinned backend cannot serve the request.
-    """
+    """All cyclic quartic (b, d) in the box, ascending; see :func:`_scan_py.scan_c4`."""
     if b_min > b_max or d_min > d_max:
         raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
-    if backend is None:
-        if _compiled is not None and _fits_compiled(b_min, b_max, d_min, d_max):
-            return _compiled.scan_c4(b_min, b_max, d_min, d_max)
-        return _pure.scan_c4(b_min, b_max, d_min, d_max)
-    if backend == "compiled":
-        if _compiled is None:
-            raise RuntimeError("compiled scan kernel is not available in this build")
-        if not _fits_compiled(b_min, b_max, d_min, d_max):
-            raise ValueError(
-                f"coefficients exceed the compiled kernel range +-{COMPILED_COEFF_LIMIT}"
-            )
-        return _compiled.scan_c4(b_min, b_max, d_min, d_max)
-    if backend == "pure":
-        return _pure.scan_c4(b_min, b_max, d_min, d_max)
-    raise ValueError(f"unknown backend {backend!r}; expected 'compiled' or 'pure'")
+    return scan_c4(b_min, b_max, d_min, d_max)

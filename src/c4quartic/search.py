@@ -15,6 +15,7 @@ the ``on_skip`` callback instead.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -206,7 +207,8 @@ def search_lines(
 
     strips = _split_strips(b_min, b_max, workers)
     args = [(lo, hi, d_min, d_max, c4_only, monogenic_only, fmt) for lo, hi in strips]
-    with ProcessPoolExecutor(max_workers=len(strips)) as pool:
+    # strips fix the output; the pool size only bounds the processes started
+    with ProcessPoolExecutor(max_workers=min(len(strips), os.cpu_count() or 1)) as pool:
         for lines, skips in pool.map(_strip_worker, args):
             if on_skip is not None:
                 for msg in skips:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from math import isqrt
 
 # ---------------------------------------------------------------------------
 # integer polynomials, coefficients lowest degree first
@@ -235,4 +236,45 @@ def trial_factorization(n):
         p += 1
     if m > 1:
         out[m] = out.get(m, 0) + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# brute-force cyclic quartic scan: tests the square condition at every cell
+
+# residues mod 256 that perfect squares can take; rejects most non-squares
+# before paying for an integer square root
+_SQ256 = bytearray(256)
+for _i in range(256):
+    _SQ256[(_i * _i) & 255] = 1
+del _i
+
+
+def scan_c4_bruteforce(b_min, b_max, d_min, d_max):
+    """All (b, d) in the box with cyclic quartic Galois group, (b, d)-ascending.
+
+    x^4 + b*x^2 + d is cyclic quartic exactly when d and e = b^2 - 4d are
+    non-squares while d*e is a perfect square; every cell is tested.
+    """
+    out = []
+    for b in range(b_min, b_max + 1):
+        bb = b * b
+        for d in range(d_min, d_max + 1):
+            e = bb - 4 * d
+            p = d * e
+            # a positive square product forces d > 0 and e > 0
+            if p <= 0:
+                continue
+            if not _SQ256[p & 255]:
+                continue
+            r = isqrt(p)
+            if r * r != p:
+                continue
+            r = isqrt(d)
+            if r * r == d:
+                continue
+            r = isqrt(e)
+            if r * r == e:
+                continue
+            out.append((b, d))
     return out

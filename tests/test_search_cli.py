@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from c4quartic import search
 from c4quartic.cli import main
 from c4quartic.monogenic import MonogenicityReport, is_monogenic
 from c4quartic.search import (
@@ -95,6 +97,27 @@ class TestSearchLines:
         one = list(search_lines(0, 1, 1, 30, workers=1))
         many = list(search_lines(0, 1, 1, 30, workers=16))
         assert one == many
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        caps = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                caps.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+        wide = list(search_lines(0, 63, 1, 2, workers=64))
+        assert caps and caps[0] <= (os.cpu_count() or 1)
+        assert wide == list(search_lines(0, 63, 1, 2, workers=1))
 
     def test_csv_skips_are_reported(self):
         skips = []
