@@ -45,12 +45,14 @@ def dedekind_divides_index(t: Trinomial, q: int) -> bool:
     for g, e in factors:
         for _ in range(e):
             lift = _int_mul(lift, list(g.coeffs))
-    assert len(lift) == len(f), "lift degree mismatch; f mod q must stay quartic"
+    if len(lift) != len(f):
+        raise ArithmeticError("lift degree mismatch; f mod q must stay quartic")
 
     defect = []
     for fc, gc in zip(f, lift):
         quo, rem = divmod(fc - gc, q)
-        assert rem == 0, "lift does not reduce to f mod q"
+        if rem:
+            raise ArithmeticError("lift does not reduce to f mod q")
         defect.append(quo)
     defect_bar = GfPoly(q, tuple(defect))
 

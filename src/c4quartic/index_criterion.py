@@ -22,6 +22,7 @@ and (for branch 4) the two GF(2) polynomials, so a caller can show its work.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .gfq import GfPoly, gf_gcd
@@ -131,16 +132,36 @@ def _branch_3(t: Trinomial, q: int) -> PrimeVerdict:
 
 
 def _branch_4(t: Trinomial, q: int) -> PrimeVerdict:
-    b, d = t.b, t.d
+    return _branch_4_mod4(t.b % 4, t.d % 4)
+
+
+@functools.cache
+def _branch_4_mod4(b: int, d: int) -> PrimeVerdict:
+    # h1 and h2 reduced mod 2 depend only on (b, d) mod 4, so the odd
+    # residues give at most four verdicts; they are frozen, hence shareable
     h1 = GfPoly(2, (d, b, 1))
     h2 = GfPoly(2, (_exact_div(d * (1 + d), 2), b * d, _exact_div(b * (1 + b), 2)))
     g = gf_gcd(h1, h2)
-    return PrimeVerdict(q, True, g.degree > 0, 4, h1=h1, h2=h2, h_gcd=g)
+    return PrimeVerdict(2, True, g.degree > 0, 4, h1=h1, h2=h2, h_gcd=g)
 
 
 def _branch_5(t: Trinomial, q: int) -> PrimeVerdict:
     e = t.b * t.b - 4 * t.d
     return PrimeVerdict(q, True, e % (q * q) == 0, 5)
+
+
+def _verdict(t: Trinomial, q: int) -> PrimeVerdict:
+    # unchecked branch dispatch: q prime, t irreducible and q | disc(t)
+    b_div, d_div = t.b % q == 0, t.d % q == 0
+    if b_div and d_div:
+        return _branch_1(t, q)
+    if b_div:
+        return _branch_2(t, q)
+    if d_div:
+        return _branch_3(t, q)
+    if q == 2:
+        return _branch_4(t, q)
+    return _branch_5(t, q)
 
 
 def prime_index_test(t: Trinomial, q: int) -> PrimeVerdict:
@@ -155,13 +176,4 @@ def prime_index_test(t: Trinomial, q: int) -> PrimeVerdict:
         raise ValueError(f"{t} is reducible; the index test needs a quartic field")
     if discriminant(t) % q != 0:
         raise ValueError(f"{q} does not divide disc({t})")
-    b_div, d_div = t.b % q == 0, t.d % q == 0
-    if b_div and d_div:
-        return _branch_1(t, q)
-    if b_div:
-        return _branch_2(t, q)
-    if d_div:
-        return _branch_3(t, q)
-    if q == 2:
-        return _branch_4(t, q)
-    return _branch_5(t, q)
+    return _verdict(t, q)

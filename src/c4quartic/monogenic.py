@@ -12,16 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .index_criterion import PrimeVerdict, prime_index_test
+from .index_criterion import PrimeVerdict, _verdict
 from .intarith import Factorization, factor, is_squarefree, radical
-from .trinomial import (
-    Signature,
-    Trinomial,
-    discriminant,
-    is_c4,
-    is_irreducible,
-    signature,
-)
+from .trinomial import Signature, Trinomial, _c4, _irreducible, _signature, is_c4
 
 __all__ = [
     "DegenerateTrinomialError",
@@ -110,11 +103,17 @@ def is_monogenic(t: Trinomial) -> MonogenicityReport:
     Primes dividing the discriminant are tested in increasing order and
     the scan stops at the first one dividing the index; later primes get
     placeholder verdicts marked unevaluated.
+
+    One pass: e, disc(t) and the factorization are computed once, and the
+    unchecked branch test runs at each prime, whose preconditions hold by
+    construction (t irreducible, q a certified prime factor of disc(t)).
     """
-    if t.d == 0:
+    b, d = t.b, t.d
+    if d == 0:
         raise DegenerateTrinomialError(f"{t} has d = 0; its root generates no quartic order")
-    disc = discriminant(t)
-    if not is_irreducible(t):
+    e = b * b - 4 * d
+    disc = 16 * d * e * e
+    if not _irreducible(b, d, e):
         fact = None if disc == 0 else factor_discriminant(t)
         return MonogenicityReport(t, False, False, disc, fact, (), False, None, None)
 
@@ -125,19 +124,19 @@ def is_monogenic(t: Trinomial) -> MonogenicityReport:
         if blocked:
             verdicts.append(PrimeVerdict.skipped(q))
         else:
-            v = prime_index_test(t, q)
+            v = _verdict(t, q)
             verdicts.append(v)
             blocked = v.divides_index
     return MonogenicityReport(
         trinomial=t,
         irreducible=True,
-        c4=is_c4(t),
+        c4=_c4(d, e),
         disc=disc,
         disc_factored=fact,
         verdicts=tuple(verdicts),
         monogenic=not blocked,
         field_disc=disc if not blocked else None,
-        signature=signature(t),
+        signature=_signature(b, d, e),
     )
 
 

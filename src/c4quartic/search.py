@@ -44,6 +44,9 @@ __all__ = [
 
 CSV_HEADER = "b,d,irreducible,c4,disc,monogenic,r1,r2,failing_prime"
 
+# one compact encoder for every line; json.dumps with separators= builds a new one per call
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class SearchError:
@@ -106,7 +109,7 @@ def _bool_str(v: bool) -> str:
 def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
     """One output line for an item, or None when the format cannot carry it."""
     if fmt == "json":
-        return json.dumps(item.to_dict(), separators=(",", ":"))
+        return _JSON.encode(item.to_dict())
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     if isinstance(item, SearchError):

@@ -70,6 +70,34 @@ def discriminant(t: Trinomial) -> int:
     return 16 * t.d * e * e
 
 
+def _irreducible(b: int, d: int, e: int) -> bool:
+    # unchecked core of is_irreducible; e must be b*b - 4*d
+    if is_square(e):
+        return False
+    if d >= 0:
+        s = isqrt(d)
+        if s * s == d and (is_square(2 * s - b) or is_square(-2 * s - b)):
+            return False
+    return True
+
+
+def _c4(d: int, e: int) -> bool:
+    # unchecked core of is_c4; the caller has established irreducibility
+    return not is_square(d) and not is_square(e) and is_square(d * e)
+
+
+def _signature(b: int, d: int, e: int) -> Signature:
+    # unchecked core of signature; the caller has established irreducibility
+    if e < 0:
+        return Signature(0, 2)
+    if d < 0:
+        return Signature(2, 1)
+    if d > 0 and b < 0:
+        # both roots of the resolvent are positive
+        return Signature(4, 0)
+    return Signature(0, 2)
+
+
 def is_irreducible(t: Trinomial) -> bool:
     """Irreducibility over Q, decided by integer square tests.
 
@@ -78,14 +106,7 @@ def is_irreducible(t: Trinomial) -> bool:
     d = s^2 and one of +-2s - b to be a square.  Linear factors only arise
     inside one of those quadratic splits, so the two checks are complete.
     """
-    b, d = t.b, t.d
-    if is_square(b * b - 4 * d):
-        return False
-    if d >= 0:
-        s = isqrt(d)
-        if s * s == d and (is_square(2 * s - b) or is_square(-2 * s - b)):
-            return False
-    return True
+    return _irreducible(t.b, t.d, t.b * t.b - 4 * t.d)
 
 
 def is_c4(t: Trinomial) -> bool:
@@ -99,9 +120,7 @@ def is_c4(t: Trinomial) -> bool:
     """
     b, d = t.b, t.d
     e = b * b - 4 * d
-    if is_square(d) or is_square(e) or not is_square(d * e):
-        return False
-    return is_irreducible(t)
+    return _c4(d, e) and _irreducible(b, d, e)
 
 
 def signature(t: Trinomial) -> Signature:
@@ -112,17 +131,11 @@ def signature(t: Trinomial) -> Signature:
     x^2 are real with product d and sum -b, so their signs follow from the
     signs of d and b.
     """
-    if not is_irreducible(t):
+    b, d = t.b, t.d
+    e = b * b - 4 * d
+    if not _irreducible(b, d, e):
         raise ValueError(f"{t} is reducible; signature is for quartic fields")
-    e = t.b * t.b - 4 * t.d
-    if e < 0:
-        return Signature(0, 2)
-    if t.d < 0:
-        return Signature(2, 1)
-    if t.d > 0 and t.b < 0:
-        # both roots of the resolvent are positive
-        return Signature(4, 0)
-    return Signature(0, 2)
+    return _signature(b, d, e)
 
 
 def classify(t: Trinomial) -> Classification:

@@ -3,7 +3,9 @@
 Everything here is written for obviousness, not speed: dense list
 polynomials, Fraction linear algebra, exhaustive enumeration.  None of it
 imports from c4quartic, so agreement between package and oracle is evidence
-rather than tautology.
+rather than tautology.  The one exception is ``is_monogenic_reference``:
+it assembles a report from the package's validating public entry points
+alone, as the slow reference for the single pass inside ``is_monogenic``.
 """
 
 from __future__ import annotations
@@ -278,3 +280,51 @@ def scan_c4_bruteforce(b_min, b_max, d_min, d_max):
                 continue
             out.append((b, d))
     return out
+
+
+# ---------------------------------------------------------------------------
+# multi-pass monogenicity report, built from the public validating functions
+
+
+def is_monogenic_reference(t):
+    """The monogenicity report built from public, validating functions only.
+
+    Every invariant is recomputed by its public function, and every prime
+    goes through the fully checked ``prime_index_test``.
+    """
+    from c4quartic.index_criterion import PrimeVerdict, prime_index_test
+    from c4quartic.monogenic import (
+        DegenerateTrinomialError,
+        MonogenicityReport,
+        factor_discriminant,
+    )
+    from c4quartic.trinomial import discriminant, is_c4, is_irreducible, signature
+
+    if t.d == 0:
+        raise DegenerateTrinomialError(f"{t} has d = 0; its root generates no quartic order")
+    disc = discriminant(t)
+    if not is_irreducible(t):
+        fact = None if disc == 0 else factor_discriminant(t)
+        return MonogenicityReport(t, False, False, disc, fact, (), False, None, None)
+
+    fact = factor_discriminant(t)
+    verdicts = []
+    blocked = False
+    for q in fact.primes():
+        if blocked:
+            verdicts.append(PrimeVerdict.skipped(q))
+        else:
+            v = prime_index_test(t, q)
+            verdicts.append(v)
+            blocked = v.divides_index
+    return MonogenicityReport(
+        trinomial=t,
+        irreducible=True,
+        c4=is_c4(t),
+        disc=disc,
+        disc_factored=fact,
+        verdicts=tuple(verdicts),
+        monogenic=not blocked,
+        field_disc=disc if not blocked else None,
+        signature=signature(t),
+    )

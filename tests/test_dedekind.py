@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from c4quartic import dedekind
 from c4quartic.dedekind import dedekind_divides_index
+from c4quartic.gfq import GfPoly
 from c4quartic.intarith import primes_upto
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
 
@@ -59,3 +61,20 @@ class TestValidation:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             dedekind_divides_index(Trinomial(0, -1), 2)
+
+
+class TestLiftChecks:
+    """A wrong factorization mod q must raise, also under ``python -O``."""
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            [(GfPoly(5, (1, 1)), 1)],  # x + 1: the lift is not quartic
+            [(GfPoly(5, (0, 1)), 4)],  # x^4: the lift is not f mod 5
+        ],
+        ids=["degree", "residue"],
+    )
+    def test_wrong_factorization_raises(self, monkeypatch, wrong):
+        monkeypatch.setattr(dedekind, "gf_factor", lambda fbar: wrong)
+        with pytest.raises(ArithmeticError):
+            dedekind_divides_index(Trinomial(2, 5), 5)

@@ -119,6 +119,22 @@ class TestFactor:
         assert all(is_prime(p) for p in got.primes())
         assert all(e >= 1 for _, e in got.factors)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            997 * 1009,  # the last trial prime times the first prime past it
+            1009**2,
+            7 * 1009**3,
+            99991 * 100003,  # straddles the former trial bound of 10^5
+            2 * 3 * 99991**2,
+            -(1013 * 99989),
+        ],
+    )
+    def test_around_trial_bounds(self, n):
+        got = factor(n)
+        assert dict(got.factors) == trial_factorization(n)
+        assert got.sign == (-1 if n < 0 else 1)
+
     def test_rho_path(self):
         # 2^64 + 1 = 274177 * 67280421310721: both beyond the trial bound
         got = factor(2**64 + 1)

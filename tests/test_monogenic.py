@@ -11,6 +11,7 @@ from c4quartic.monogenic import (
     structural_constraints,
 )
 from c4quartic.trinomial import Signature, Trinomial, discriminant, is_irreducible
+from oracles import is_monogenic_reference
 
 coeffs = st.integers(min_value=-150, max_value=150)
 
@@ -114,6 +115,23 @@ class TestIsMonogenic:
             failing = r.failing_prime()
             for v in r.verdicts:
                 assert v.evaluated == (failing is None or v.prime <= failing)
+
+
+class TestSinglePassAgainstReference:
+    """The single pass must give the report the public entry points give."""
+
+    def test_every_small_cell(self):
+        for b in range(-60, 61):
+            for d in range(-60, 61):
+                if d:
+                    t = Trinomial(b, d)
+                    assert is_monogenic(t) == is_monogenic_reference(t), (b, d)
+
+    def test_large_coefficient_box(self):
+        for b in range(10**5, 10**5 + 30):
+            for d in range(10**9, 10**9 + 30):
+                t = Trinomial(b, d)
+                assert is_monogenic(t) == is_monogenic_reference(t), (b, d)
 
 
 class TestReportDict:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import c4quartic
 from c4quartic import search
 from c4quartic.cli import main
 from c4quartic.monogenic import MonogenicityReport, is_monogenic
@@ -60,11 +61,17 @@ class TestFormatting:
         assert parsed["trinomial"] == {"b": -5, "d": 5}
         assert parsed["monogenic"] is True
         assert "\n" not in line
+        # verdicts from branches 2 to 5, skipped ones, and a blocked prime
+        reports = [is_monogenic(Trinomial(b, d)) for b, d in ((2, 3), (5, 5), (1, 3), (2, 5))]
+        assert {v.branch for r in reports for v in r.verdicts} >= {2, 3, 4, 5, None}
+        for r in reports:
+            assert format_item(r, "json") == json.dumps(r.to_dict(), separators=(",", ":"))
 
     def test_json_error_line(self):
         err = SearchError(Trinomial(1, 0), "degenerate")
         parsed = json.loads(format_item(err, "json"))
         assert parsed == {"trinomial": {"b": 1, "d": 0}, "error": "degenerate"}
+        assert format_item(err, "json") == json.dumps(err.to_dict(), separators=(",", ":"))
 
     def test_csv_rows(self):
         assert format_item(is_monogenic(Trinomial(-5, 5)), "csv") == (
@@ -287,10 +294,14 @@ class TestCli:
         assert info.value.code == 2
 
     def test_module_entry_point(self):
+        # the child must import the same package, also from an uninstalled checkout
+        src = os.path.dirname(os.path.dirname(c4quartic.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = subprocess.run(
             [sys.executable, "-m", "c4quartic", "monogenic", "--b", "4", "--d", "2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["monogenic"] is True
