@@ -1,23 +1,33 @@
 """Dedekind's index criterion, used as an independent cross-check.
 
-Shares no logic with the branch-based test in :mod:`.index_criterion`: this
-route factors f mod q, lifts the factorization back to Z canonically, and
-inspects the defect (f - lift)/q.  The prime q divides [Z_K : Z[theta]]
-exactly when that defect, reduced mod q, shares a factor with the repeated
-part of f mod q.  Agreement between the two routes on random and exhaustive
-samples is what certifies the branch engine.
+Shares no logic with the branch-based test in :mod:`.index_criterion`.
+Write f mod q = P_1 * P_2^2 * ... as its squarefree decomposition, P_m the
+monic product of the irreducible factors of multiplicity exactly m.  Let g
+and h be monic integer lifts of rad(f mod q) = prod P_m and of
+(f mod q)/rad(f mod q) = prod P_m^(m-1), and F = (f - g*h)/q.  Dedekind's
+criterion (Cohen, *A Course in Computational Algebraic Number Theory*,
+Thm 6.1.4): q divides [Z_K : Z[theta]] exactly when gcd(F, g, h) mod q is
+not 1, and gcd(g, h) mod q = prod_{m >= 2} P_m.
+
+The irreducible factors are never needed, because the verdict does not
+depend on the lifts.  Other monic lifts g + q*u and h + q*v give
+F' = F - (u*h + v*g) - q*u*v, so F' mod q differs from F mod q by a
+multiple of gcd(g, h) mod q, and the gcd with it is unchanged.  This
+module lifts each P_m with coefficients in [0, q), so g*h is the integer
+product of the lifted P_m^m.  Agreement between the two routes on random and
+exhaustive samples is what certifies the branch engine.
 """
 
 from __future__ import annotations
 
-from .gfq import GfPoly, gf_factor, gf_gcd, gf_mul
+from .gfq import _shares_factor, _squarefree
 from .intarith import is_prime
 from .trinomial import Trinomial, is_irreducible
 
 __all__ = ["dedekind_divides_index"]
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
+def _int_mul(a: list[int], b: tuple[int, ...]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -36,15 +46,14 @@ def dedekind_divides_index(t: Trinomial, q: int) -> bool:
     if not is_irreducible(t):
         raise ValueError(f"{t} is reducible; the index test needs a quartic field")
 
-    f = list(t.coefficients())
-    fbar = GfPoly(q, tuple(f))
-    factors = gf_factor(fbar)
+    f = t.coefficients()
+    # f is monic, so its reduction is already trimmed
+    parts = _squarefree(q, tuple(c % q for c in f))
 
-    # canonical lift of the full factorization, multiplied out over Z
     lift = [1]
-    for g, e in factors:
-        for _ in range(e):
-            lift = _int_mul(lift, list(g.coeffs))
+    for p, m in parts:
+        for _ in range(m):
+            lift = _int_mul(lift, p)
     if len(lift) != len(f):
         raise ArithmeticError("lift degree mismatch; f mod q must stay quartic")
 
@@ -54,10 +63,4 @@ def dedekind_divides_index(t: Trinomial, q: int) -> bool:
         if rem:
             raise ArithmeticError("lift does not reduce to f mod q")
         defect.append(quo)
-    defect_bar = GfPoly(q, tuple(defect))
-
-    repeated = GfPoly(q, (1,))
-    for g, e in factors:
-        if e >= 2:
-            repeated = gf_mul(repeated, g)
-    return gf_gcd(defect_bar, repeated).degree > 0
+    return _shares_factor(q, defect, parts)

@@ -2,8 +2,15 @@
 
 Polynomials are immutable coefficient tuples, lowest degree first, always
 reduced mod q and trimmed of leading zeros (the zero polynomial is the empty
-tuple, degree -1).  Factorization is the classical three-stage pipeline:
-squarefree decomposition, distinct-degree splitting, then Cantor-Zassenhaus
+tuple, degree -1).  The private functions (``_mul``, ``_divmod``, ``_gcd``,
+``_monic``, ``_pow_mod``, ``_squarefree`` and their helpers) are the only
+implementation of each operation: they take such tuples and the modulus,
+check nothing, and return such tuples.  The public ``GfPoly``/``gf_*`` API
+checks its input (prime modulus, same field, nonzero divisor, nonnegative
+exponent), runs one kernel call and wraps the result once.
+
+Factorization is the classical three-stage pipeline: squarefree
+decomposition, distinct-degree splitting, then Cantor-Zassenhaus
 equal-degree splitting (trace maps for q = 2).  The random choices inside
 equal-degree splitting come from a caller-suppliable rng so results are
 reproducible; the returned factor list is sorted and canonical either way.
@@ -31,11 +38,21 @@ __all__ = [
     "gf_x",
 ]
 
+Coeffs = tuple[int, ...]
+
 
 @functools.lru_cache(maxsize=None)
 def _check_modulus(q: int) -> None:
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
+
+
+def _trim(q: int, cs) -> Coeffs:
+    """Coefficients reduced mod q, without leading zeros."""
+    out = [c % q for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -47,10 +64,7 @@ class GfPoly:
 
     def __post_init__(self):
         _check_modulus(self.modulus)
-        reduced = tuple(c % self.modulus for c in self.coeffs)
-        while reduced and reduced[-1] == 0:
-            reduced = reduced[:-1]
-        object.__setattr__(self, "coeffs", reduced)
+        object.__setattr__(self, "coeffs", _trim(self.modulus, self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -87,9 +101,176 @@ class GfPoly:
         return " + ".join(reversed(terms))
 
 
-def gf_x(q: int) -> GfPoly:
-    """The monomial x over GF(q)."""
-    return GfPoly(q, (0, 1))
+# ---------------------------------------------------------------------------
+# unchecked kernels: q prime, every argument reduced mod q and trimmed
+
+
+def _add(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += y
+    return _trim(q, out)
+
+
+def _sub(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
+    return _add(q, a, tuple(-y for y in b))
+
+
+def _mul(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    # the leading coefficient is a product of units, so nothing to trim
+    return tuple(c % q for c in out)
+
+
+def _divmod(q: int, a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
+    """Quotient and remainder; b must be nonzero."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return (), a
+    inv_lead = pow(b[-1], -1, q)
+    rem = list(a)
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + db] * inv_lead % q
+        if c:
+            quo[i] = c
+            for j in range(db):
+                rem[i + j] = (rem[i + j] - c * b[j]) % q
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quo), tuple(rem)
+
+
+def _monic(q: int, a: Coeffs) -> Coeffs:
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, q)
+    return tuple(c * inv % q for c in a)
+
+
+def _gcd(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
+    """Monic greatest common divisor; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, _divmod(q, a, b)[1]
+    return _monic(q, a)
+
+
+def _pow_mod(q: int, base: Coeffs, exp: int, mod: Coeffs) -> Coeffs:
+    """base**exp reduced mod ``mod`` (nonzero), by binary exponentiation."""
+    result: Coeffs = (1,)
+    base = _divmod(q, base, mod)[1]
+    while exp:
+        if exp & 1:
+            result = _divmod(q, _mul(q, result, base), mod)[1]
+        base = _divmod(q, _mul(q, base, base), mod)[1]
+        exp >>= 1
+    return result
+
+
+def _squarefree(q: int, a: Coeffs) -> list[tuple[Coeffs, int]]:
+    """Yun's squarefree decomposition of monic(a), a nonzero.
+
+    Returns [(P_m, m), ...] with m ascending, where P_m is the monic product
+    of the irreducible factors of multiplicity exactly m; the parts are
+    pairwise coprime and the product of P_m**m is monic(a).
+    """
+    a = _monic(q, a)
+    if len(a) < 2:
+        return []
+    da = _trim(q, [i * c for i, c in enumerate(a)][1:])
+    if not da:
+        # a = c(x^q) = c(x)^q in characteristic q; Frobenius fixes the base
+        # field, so the q-th root keeps every q-th coefficient
+        return [(g, m * q) for g, m in _squarefree(q, a[::q])]
+    c = _gcd(q, a, da)
+    w = _divmod(q, a, c)[0]
+    out = []
+    m = 1
+    while len(w) > 1:
+        y = _gcd(q, w, c)
+        z = _divmod(q, w, y)[0]
+        if len(z) > 1:
+            out.append((z, m))
+        w = y
+        c = _divmod(q, c, y)[0]
+        m += 1
+    if len(c) > 1:
+        # the residual keeps the factors whose multiplicity is divisible by
+        # q, at full multiplicity; it is a q-th power, so the zero-derivative
+        # branch of the recursion supplies the scaling
+        out.extend(_squarefree(q, c))
+        out.sort(key=lambda pm: pm[1])
+    return out
+
+
+def _shares_factor(q: int, a, parts: list[tuple[Coeffs, int]]) -> bool:
+    """Whether a and prod_{m >= 2} P_m have a common factor of positive degree.
+
+    ``a`` is any integer coefficient sequence, reduced mod q here; ``parts``
+    is a squarefree decomposition as returned by :func:`_squarefree`.
+    """
+    repeated: Coeffs = (1,)
+    for p, m in parts:
+        if m >= 2:
+            repeated = _mul(q, repeated, p)
+    return len(_gcd(q, _trim(q, a), repeated)) > 1
+
+
+def _distinct_degree_parts(q: int, a: Coeffs) -> list[tuple[Coeffs, int]]:
+    """Split monic squarefree a into products of factors of equal degree."""
+    x = (0, 1)
+    out = []
+    h = x
+    d = 0
+    while len(a) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _pow_mod(q, h, q, a)
+        g = _gcd(q, _sub(q, h, x), a)
+        if len(g) > 1:
+            out.append((g, d))
+            a = _divmod(q, a, g)[0]
+            h = _divmod(q, h, a)[1]
+    if len(a) > 1:
+        # whatever survives is a single irreducible of full remaining degree
+        out.append((a, len(a) - 1))
+    return out
+
+
+def _equal_degree_split(q: int, a: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
+    """Factor monic squarefree a whose irreducible factors all have degree d."""
+    if len(a) - 1 == d:
+        return [a]
+    while True:
+        h = _trim(q, [rng.randrange(q) for _ in range(len(a) - 1)])
+        if len(h) < 2:
+            continue
+        if q == 2:
+            # trace map over GF(2^d)
+            t = acc = h
+            for _ in range(d - 1):
+                t = _divmod(q, _mul(q, t, t), a)[1]
+                acc = _add(q, acc, t)
+            g = _gcd(q, acc, a)
+        else:
+            g = _gcd(q, h, a)
+            if len(g) == 1:
+                e = _pow_mod(q, h, (q**d - 1) // 2, a)
+                g = _gcd(q, _sub(q, e, (1,)), a)
+        if 1 < len(g) < len(a):
+            left = _equal_degree_split(q, g, d, rng)
+            right = _equal_degree_split(q, _divmod(q, a, g)[0], d, rng)
+            return left + right
+
+
+# ---------------------------------------------------------------------------
+# the checked public API: one kernel call, one wrap per result
 
 
 def _same_field(a: GfPoly, b: GfPoly) -> int:
@@ -98,51 +279,36 @@ def _same_field(a: GfPoly, b: GfPoly) -> int:
     return a.modulus
 
 
+def _nonzero_divisor(b: GfPoly) -> None:
+    if b.is_zero:
+        raise ValueError("division by the zero polynomial")
+
+
+def gf_x(q: int) -> GfPoly:
+    """The monomial x over GF(q)."""
+    return GfPoly(q, (0, 1))
+
+
 def gf_add(a: GfPoly, b: GfPoly) -> GfPoly:
     q = _same_field(a, b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return GfPoly(q, tuple(x + y for x, y in zip(ca, cb)))
+    return GfPoly(q, _add(q, a.coeffs, b.coeffs))
 
 
 def gf_sub(a: GfPoly, b: GfPoly) -> GfPoly:
     q = _same_field(a, b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0,) * (n - len(b.coeffs))
-    return GfPoly(q, tuple(x - y for x, y in zip(ca, cb)))
+    return GfPoly(q, _sub(q, a.coeffs, b.coeffs))
 
 
 def gf_mul(a: GfPoly, b: GfPoly) -> GfPoly:
     q = _same_field(a, b)
-    if a.is_zero or b.is_zero:
-        return GfPoly(q, ())
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = (out[i + j] + x * y) % q
-    return GfPoly(q, tuple(out))
+    return GfPoly(q, _mul(q, a.coeffs, b.coeffs))
 
 
 def gf_divmod(a: GfPoly, b: GfPoly) -> tuple[GfPoly, GfPoly]:
     q = _same_field(a, b)
-    if b.is_zero:
-        raise ValueError("division by the zero polynomial")
-    if a.degree < b.degree:
-        return GfPoly(q, ()), a
-    inv_lead = pow(b.leading(), -1, q)
-    rem = list(a.coeffs)
-    quo = [0] * (a.degree - b.degree + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + b.degree] * inv_lead % q
-        if c:
-            quo[i] = c
-            for j, y in enumerate(b.coeffs):
-                rem[i + j] = (rem[i + j] - c * y) % q
-    return GfPoly(q, tuple(quo)), GfPoly(q, tuple(rem[: b.degree]))
+    _nonzero_divisor(b)
+    quo, rem = _divmod(q, a.coeffs, b.coeffs)
+    return GfPoly(q, quo), GfPoly(q, rem)
 
 
 def gf_mod(a: GfPoly, b: GfPoly) -> GfPoly:
@@ -150,18 +316,13 @@ def gf_mod(a: GfPoly, b: GfPoly) -> GfPoly:
 
 
 def gf_monic(a: GfPoly) -> GfPoly:
-    if a.is_zero or a.leading() == 1:
-        return a
-    inv = pow(a.leading(), -1, a.modulus)
-    return GfPoly(a.modulus, tuple(c * inv for c in a.coeffs))
+    return GfPoly(a.modulus, _monic(a.modulus, a.coeffs))
 
 
 def gf_gcd(a: GfPoly, b: GfPoly) -> GfPoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    _same_field(a, b)
-    while not b.is_zero:
-        a, b = b, gf_mod(a, b)
-    return gf_monic(a)
+    q = _same_field(a, b)
+    return GfPoly(q, _gcd(q, a.coeffs, b.coeffs))
 
 
 def gf_pow_mod(base: GfPoly, exp: int, mod: GfPoly) -> GfPoly:
@@ -169,104 +330,8 @@ def gf_pow_mod(base: GfPoly, exp: int, mod: GfPoly) -> GfPoly:
     q = _same_field(base, mod)
     if exp < 0:
         raise ValueError("negative exponent")
-    result = GfPoly(q, (1,))
-    base = gf_mod(base, mod)
-    while exp:
-        if exp & 1:
-            result = gf_mod(gf_mul(result, base), mod)
-        base = gf_mod(gf_mul(base, base), mod)
-        exp >>= 1
-    return result
-
-
-def _derivative(a: GfPoly) -> GfPoly:
-    return GfPoly(a.modulus, tuple(i * c for i, c in enumerate(a.coeffs))[1:])
-
-
-def _qth_root(a: GfPoly) -> GfPoly:
-    # a is a polynomial in x^q over GF(q); Frobenius fixes the base field,
-    # so the q-th root just keeps every q-th coefficient.
-    return GfPoly(a.modulus, a.coeffs[:: a.modulus])
-
-
-def _squarefree_parts(a: GfPoly) -> list[tuple[GfPoly, int]]:
-    """Yun-style decomposition: monic squarefree parts with multiplicities."""
-    q = a.modulus
-    out: list[tuple[GfPoly, int]] = []
-    a = gf_monic(a)
-    if a.degree < 1:
-        return out
-    da = _derivative(a)
-    if da.is_zero:
-        # a = c(x^q) = c(x)^q in characteristic q
-        for g, m in _squarefree_parts(_qth_root(a)):
-            out.append((g, m * q))
-        return out
-    c = gf_gcd(a, da)
-    w = gf_divmod(a, c)[0]
-    m = 1
-    while w.degree > 0:
-        y = gf_gcd(w, c)
-        z = gf_divmod(w, y)[0]
-        if z.degree > 0:
-            out.append((z, m))
-        w = y
-        c = gf_divmod(c, y)[0]
-        m += 1
-    if c.degree > 0:
-        # the residual keeps factors whose multiplicity is divisible by q,
-        # at full multiplicity; it is a q-th power, so the zero-derivative
-        # branch of the recursion supplies the scaling
-        out.extend(_squarefree_parts(c))
-    return out
-
-
-def _distinct_degree_parts(a: GfPoly) -> list[tuple[GfPoly, int]]:
-    """Split monic squarefree a into products of factors of equal degree."""
-    q = a.modulus
-    out: list[tuple[GfPoly, int]] = []
-    h = gf_x(q)
-    d = 0
-    while a.degree >= 2 * (d + 1):
-        d += 1
-        h = gf_pow_mod(h, q, a)
-        g = gf_gcd(gf_sub(h, gf_x(q)), a)
-        if g.degree > 0:
-            out.append((g, d))
-            a = gf_divmod(a, g)[0]
-            h = gf_mod(h, a)
-    if a.degree > 0:
-        # whatever survives is a single irreducible of full remaining degree
-        out.append((a, a.degree))
-    return out
-
-
-def _equal_degree_split(a: GfPoly, d: int, rng: random.Random) -> list[GfPoly]:
-    """Factor monic squarefree a whose irreducible factors all have degree d."""
-    q = a.modulus
-    if a.degree == d:
-        return [a]
-    while True:
-        h = GfPoly(q, tuple(rng.randrange(q) for _ in range(a.degree)))
-        if h.degree < 1:
-            continue
-        if q == 2:
-            # trace map over GF(2^d)
-            t = h
-            acc = h
-            for _ in range(d - 1):
-                t = gf_mod(gf_mul(t, t), a)
-                acc = gf_add(acc, t)
-            g = gf_gcd(acc, a)
-        else:
-            g = gf_gcd(h, a)
-            if g.degree == 0:
-                e = gf_pow_mod(h, (q**d - 1) // 2, a)
-                g = gf_gcd(gf_sub(e, GfPoly(q, (1,))), a)
-        if 0 < g.degree < a.degree:
-            left = _equal_degree_split(g, d, rng)
-            right = _equal_degree_split(gf_divmod(a, g)[0], d, rng)
-            return left + right
+    _nonzero_divisor(mod)
+    return GfPoly(q, _pow_mod(q, base.coeffs, exp, mod.coeffs))
 
 
 def gf_factor(a: GfPoly, rng: random.Random | None = None) -> list[tuple[GfPoly, int]]:
@@ -279,10 +344,11 @@ def gf_factor(a: GfPoly, rng: random.Random | None = None) -> list[tuple[GfPoly,
         raise ValueError("cannot factor the zero polynomial")
     if rng is None:
         rng = random.Random(1)
-    out: list[tuple[GfPoly, int]] = []
-    for sqfree, mult in _squarefree_parts(a):
-        for part, deg in _distinct_degree_parts(sqfree):
-            for g in _equal_degree_split(part, deg, rng):
+    q = a.modulus
+    out = []
+    for part, mult in _squarefree(q, a.coeffs):
+        for piece, deg in _distinct_degree_parts(q, part):
+            for g in _equal_degree_split(q, piece, deg, rng):
                 out.append((g, mult))
-    out.sort(key=lambda ge: (ge[0].degree, ge[0].coeffs))
-    return out
+    out.sort(key=lambda ge: (len(ge[0]), ge[0]))
+    return [(GfPoly(q, g), mult) for g, mult in out]

@@ -3,9 +3,11 @@
 Everything here is written for obviousness, not speed: dense list
 polynomials, Fraction linear algebra, exhaustive enumeration.  None of it
 imports from c4quartic, so agreement between package and oracle is evidence
-rather than tautology.  The one exception is ``is_monogenic_reference``:
-it assembles a report from the package's validating public entry points
-alone, as the slow reference for the single pass inside ``is_monogenic``.
+rather than tautology.  The two exceptions are ``is_monogenic_reference``,
+which assembles a report from the package's validating public entry points
+alone, as the slow reference for the single pass inside ``is_monogenic``,
+and ``dedekind_via_factor``, Dedekind's criterion through the public
+``gf_factor``, the reference for the squarefree route of ``dedekind``.
 """
 
 from __future__ import annotations
@@ -207,12 +209,21 @@ def nmod_is_irreducible(q, a):
 
 
 def nmod_factor(q, a):
-    """Factor into monic irreducibles by trial division, smallest first."""
+    """Factor into monic irreducibles by trial division, smallest first.
+
+    Once every monic divisor of degree below k has been divided out, a
+    cofactor of degree below 2k has no proper factor left: it is irreducible.
+    """
     a = nmod_trim(q, a)
     assert a, "cannot factor zero"
     out = {}
-    deg = len(a) - 1
-    for k in range(1, deg + 1):
+    k = 0
+    while len(a) > 1:
+        k += 1
+        if len(a) - 1 < 2 * k:
+            g = nmod_mul(q, a, (pow(a[-1], -1, q),))
+            out[g] = out.get(g, 0) + 1
+            break
         for g in monic_polys(q, k):
             while True:
                 quo, rem = nmod_divmod(q, a, g)
@@ -221,8 +232,31 @@ def nmod_factor(q, a):
                 out[g] = out.get(g, 0) + 1
                 a = quo
             if len(a) == 1:
-                return sorted(out.items(), key=lambda ge: (len(ge[0]), ge[0]))
+                break
     return sorted(out.items(), key=lambda ge: (len(ge[0]), ge[0]))
+
+
+def dedekind_bruteforce(b, d, q):
+    """Dedekind's criterion for x^4 + b*x^2 + d at the prime q, from the full factorization.
+
+    f mod q = prod g_i^e_i by trial division.  With g = prod g_i and
+    h = prod g_i^(e_i - 1) lifted with coefficients in [0, q), only
+    F = (f - g*h)/q mod q is needed, so g*h is formed mod q^2.  q divides
+    the index exactly when some g_i with e_i >= 2 divides F mod q.
+    """
+    f = (d, 0, b, 0, 1)
+    factors = nmod_factor(q, f)
+    gh = (1,)
+    for g, e in factors:
+        for _ in range(e):
+            gh = nmod_mul(q * q, gh, g)
+    assert len(gh) == len(f), "the factors must multiply back to a quartic"
+    defect = []
+    for fc, c in zip(f, gh):
+        quo, rem = divmod((fc - c) % (q * q), q)
+        assert rem == 0, "g*h must reduce to f mod q"
+        defect.append(quo)
+    return any(e >= 2 and not nmod_divmod(q, defect, g)[1] for g, e in factors)
 
 
 def trial_factorization(n):
@@ -328,3 +362,36 @@ def is_monogenic_reference(t):
         field_disc=disc if not blocked else None,
         signature=signature(t),
     )
+
+
+# ---------------------------------------------------------------------------
+# Dedekind's criterion through the full factorization, on the public GF(q) API
+
+
+def dedekind_via_factor(t, q):
+    """Dedekind's criterion from the irreducible factors given by ``gf_factor``.
+
+    Lifts the full factorization of f mod q to Z, forms the defect
+    (f - lift)/q and tests its gcd with the product of the repeated
+    irreducible factors.  This was the package's own route before it moved
+    to the squarefree decomposition; it is kept as the reference for it.
+    """
+    from c4quartic.gfq import GfPoly, gf_factor, gf_gcd, gf_mul
+
+    f = list(t.coefficients())
+    factors = gf_factor(GfPoly(q, tuple(f)))
+    lift = [1]
+    for g, e in factors:
+        for _ in range(e):
+            lift = poly_mul(lift, list(g.coeffs))
+    assert len(lift) == len(f)
+    defect = []
+    for fc, gc in zip(f, lift):
+        quo, rem = divmod(fc - gc, q)
+        assert rem == 0
+        defect.append(quo)
+    repeated = GfPoly(q, (1,))
+    for g, e in factors:
+        if e >= 2:
+            repeated = gf_mul(repeated, g)
+    return gf_gcd(GfPoly(q, tuple(defect)), repeated).degree > 0

@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from c4quartic import dedekind
+from c4quartic import dedekind, search
 from c4quartic.dedekind import dedekind_divides_index
-from c4quartic.gfq import GfPoly
 from c4quartic.intarith import primes_upto
+from c4quartic.search import oracle_check
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
+from oracles import dedekind_bruteforce, dedekind_via_factor
 
 coeffs = st.integers(min_value=-150, max_value=150)
+large_coeffs = st.integers(min_value=-(10**12), max_value=10**12)
+BRUTE_PRIMES = (2, 3, 5, 7)
 
 
 class TestKnownVerdicts:
@@ -53,6 +56,51 @@ class TestGeneralBehavior:
                 assert dedekind_divides_index(t, q) in (True, False)
 
 
+class TestAgainstOracles:
+    def test_bruteforce_on_small_box(self):
+        # every irreducible cell with b, d in [-30, 30], at each small prime
+        # dividing the discriminant; both verdicts must occur
+        verdicts = {True: 0, False: 0}
+        for b in range(-30, 31):
+            for d in range(-30, 31):
+                t = Trinomial(b, d)
+                if d == 0 or not is_irreducible(t):
+                    continue
+                disc = discriminant(t)
+                for q in BRUTE_PRIMES:
+                    if disc % q == 0:
+                        got = dedekind_divides_index(t, q)
+                        assert got == dedekind_bruteforce(b, d, q), (b, d, q)
+                        verdicts[got] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    @given(large_coeffs, large_coeffs)
+    def test_bruteforce_on_large_coefficients(self, b, d):
+        t = Trinomial(b, d)
+        if d == 0 or not is_irreducible(t):
+            return
+        disc = discriminant(t)
+        for q in BRUTE_PRIMES:
+            if disc % q == 0:
+                assert dedekind_divides_index(t, q) == dedekind_bruteforce(b, d, q)
+
+    def test_full_factorization_route_on_oracle_check_pairs(self, monkeypatch):
+        # the (t, q) pairs of `oracle-check --samples 2000 --seed 1` with
+        # bound 10^6, every prime q <= 97 dividing the discriminant
+        pairs = []
+
+        def recording(t, q):
+            pairs.append((t, q))
+            return dedekind_divides_index(t, q)
+
+        monkeypatch.setattr(search, "dedekind_divides_index", recording)
+        bound = 10**6
+        result = oracle_check(2000, 1, -bound, bound, -bound, bound)
+        assert result.agreements == len(pairs) == 6758
+        split = [(t, q) for t, q in pairs if dedekind_via_factor(t, q) != dedekind_divides_index(t, q)]
+        assert split == []
+
+
 class TestValidation:
     def test_composite_q_rejected(self):
         with pytest.raises(ValueError):
@@ -64,17 +112,17 @@ class TestValidation:
 
 
 class TestLiftChecks:
-    """A wrong factorization mod q must raise, also under ``python -O``."""
+    """A wrong squarefree decomposition mod q must raise, also under ``python -O``."""
 
     @pytest.mark.parametrize(
         "wrong",
         [
-            [(GfPoly(5, (1, 1)), 1)],  # x + 1: the lift is not quartic
-            [(GfPoly(5, (0, 1)), 4)],  # x^4: the lift is not f mod 5
+            [((1, 1), 1)],  # x + 1: the lift is not quartic
+            [((0, 1), 4)],  # x^4: the lift is not f mod 5
         ],
         ids=["degree", "residue"],
     )
     def test_wrong_factorization_raises(self, monkeypatch, wrong):
-        monkeypatch.setattr(dedekind, "gf_factor", lambda fbar: wrong)
+        monkeypatch.setattr(dedekind, "_squarefree", lambda q, fbar: wrong)
         with pytest.raises(ArithmeticError):
             dedekind_divides_index(Trinomial(2, 5), 5)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from c4quartic.gfq import (
     GfPoly,
+    _squarefree,
     gf_add,
     gf_divmod,
     gf_factor,
@@ -177,3 +179,44 @@ class TestFactor:
         got = [(g.coeffs, e) for g, e in gf_factor(a)]
         expected = nmod_factor(a.modulus, a.coeffs)
         assert sorted(got) == sorted(expected)
+
+
+def _grouped_by_multiplicity(q, coeffs):
+    """Products of the irreducible factors of each multiplicity, from the oracle."""
+    groups = {}
+    for g, e in nmod_factor(q, coeffs):
+        groups[e] = nmod_mul(q, groups.get(e, (1,)), g)
+    return sorted((part, m) for m, part in groups.items())
+
+
+class TestSquarefree:
+    def check(self, a):
+        q = a.modulus
+        parts = _squarefree(q, a.coeffs)
+        assert sorted(parts) == _grouped_by_multiplicity(q, a.coeffs)
+        assert [m for _, m in parts] == sorted({m for _, m in parts})
+        for (p1, _), (p2, _) in itertools.combinations(parts, 2):
+            assert gf_gcd(GfPoly(q, p1), GfPoly(q, p2)) == GfPoly(q, (1,))
+        prod = (1,)
+        for part, m in parts:
+            for _ in range(m):
+                prod = nmod_mul(q, prod, part)
+        assert prod == gf_monic(a).coeffs
+
+    @pytest.mark.parametrize(
+        "q, coeffs",
+        [
+            (2, (1, 0, 0, 0, 1)),  # (x + 1)^4, a 4th power mod 2
+            (3, nmod_mul(3, nmod_mul(3, (1, 2, 0, 1), (1, 2, 0, 1)), (1, 2, 0, 1))),  # g^3
+            (2, nmod_mul(2, (0, 0, 1), (1, 1, 1, 1))),  # x^2 (x + 1)^3
+        ],
+        ids=["x+1^4-mod-2", "g^3-mod-3", "x^2-x+1^3-mod-2"],
+    )
+    def test_qth_powers(self, q, coeffs):
+        self.check(GfPoly(q, coeffs))
+
+    @given(small_primes.flatmap(lambda q: polys(q, max_degree=8)))
+    @settings(max_examples=150)
+    def test_matches_factorization_grouped_by_multiplicity(self, a):
+        if not a.is_zero:
+            self.check(a)
