@@ -1,42 +1,23 @@
-"""Dense univariate polynomial arithmetic and factorization over GF(q), q prime.
+"""Dense univariate polynomial arithmetic over GF(q), q prime.
 
 Polynomials are immutable coefficient tuples, lowest degree first, always
 reduced mod q and trimmed of leading zeros (the zero polynomial is the empty
 tuple, degree -1).  The private functions (``_mul``, ``_divmod``, ``_gcd``,
-``_monic``, ``_pow_mod``, ``_squarefree`` and their helpers) are the only
+``_monic``, ``_squarefree`` and ``_shares_factor``) are the only
 implementation of each operation: they take such tuples and the modulus,
-check nothing, and return such tuples.  The public ``GfPoly``/``gf_*`` API
-checks its input (prime modulus, same field, nonzero divisor, nonnegative
-exponent), runs one kernel call and wraps the result once.
-
-Factorization is the classical three-stage pipeline: squarefree
-decomposition, distinct-degree splitting, then Cantor-Zassenhaus
-equal-degree splitting (trace maps for q = 2).  The random choices inside
-equal-degree splitting come from a caller-suppliable rng so results are
-reproducible; the returned factor list is sorted and canonical either way.
+check nothing, and return such tuples.  The public ``GfPoly`` and
+``gf_gcd`` check their input (prime modulus, same field), run one kernel
+call and wrap the result once.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 
 from .intarith import is_prime
 
-__all__ = [
-    "GfPoly",
-    "gf_add",
-    "gf_divmod",
-    "gf_factor",
-    "gf_gcd",
-    "gf_mod",
-    "gf_monic",
-    "gf_mul",
-    "gf_pow_mod",
-    "gf_sub",
-    "gf_x",
-]
+__all__ = ["GfPoly", "gf_gcd"]
 
 Coeffs = tuple[int, ...]
 
@@ -74,17 +55,6 @@ class GfPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.modulus
-        return acc
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -103,17 +73,6 @@ class GfPoly:
 
 # ---------------------------------------------------------------------------
 # unchecked kernels: q prime, every argument reduced mod q and trimmed
-
-
-def _add(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] += y
-    return _trim(q, out)
-
-
-def _sub(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
-    return _add(q, a, tuple(-y for y in b))
 
 
 def _mul(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -160,18 +119,6 @@ def _gcd(q: int, a: Coeffs, b: Coeffs) -> Coeffs:
     while b:
         a, b = b, _divmod(q, a, b)[1]
     return _monic(q, a)
-
-
-def _pow_mod(q: int, base: Coeffs, exp: int, mod: Coeffs) -> Coeffs:
-    """base**exp reduced mod ``mod`` (nonzero), by binary exponentiation."""
-    result: Coeffs = (1,)
-    base = _divmod(q, base, mod)[1]
-    while exp:
-        if exp & 1:
-            result = _divmod(q, _mul(q, result, base), mod)[1]
-        base = _divmod(q, _mul(q, base, base), mod)[1]
-        exp >>= 1
-    return result
 
 
 def _squarefree(q: int, a: Coeffs) -> list[tuple[Coeffs, int]]:
@@ -223,52 +170,6 @@ def _shares_factor(q: int, a, parts: list[tuple[Coeffs, int]]) -> bool:
     return len(_gcd(q, _trim(q, a), repeated)) > 1
 
 
-def _distinct_degree_parts(q: int, a: Coeffs) -> list[tuple[Coeffs, int]]:
-    """Split monic squarefree a into products of factors of equal degree."""
-    x = (0, 1)
-    out = []
-    h = x
-    d = 0
-    while len(a) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _pow_mod(q, h, q, a)
-        g = _gcd(q, _sub(q, h, x), a)
-        if len(g) > 1:
-            out.append((g, d))
-            a = _divmod(q, a, g)[0]
-            h = _divmod(q, h, a)[1]
-    if len(a) > 1:
-        # whatever survives is a single irreducible of full remaining degree
-        out.append((a, len(a) - 1))
-    return out
-
-
-def _equal_degree_split(q: int, a: Coeffs, d: int, rng: random.Random) -> list[Coeffs]:
-    """Factor monic squarefree a whose irreducible factors all have degree d."""
-    if len(a) - 1 == d:
-        return [a]
-    while True:
-        h = _trim(q, [rng.randrange(q) for _ in range(len(a) - 1)])
-        if len(h) < 2:
-            continue
-        if q == 2:
-            # trace map over GF(2^d)
-            t = acc = h
-            for _ in range(d - 1):
-                t = _divmod(q, _mul(q, t, t), a)[1]
-                acc = _add(q, acc, t)
-            g = _gcd(q, acc, a)
-        else:
-            g = _gcd(q, h, a)
-            if len(g) == 1:
-                e = _pow_mod(q, h, (q**d - 1) // 2, a)
-                g = _gcd(q, _sub(q, e, (1,)), a)
-        if 1 < len(g) < len(a):
-            left = _equal_degree_split(q, g, d, rng)
-            right = _equal_degree_split(q, _divmod(q, a, g)[0], d, rng)
-            return left + right
-
-
 # ---------------------------------------------------------------------------
 # the checked public API: one kernel call, one wrap per result
 
@@ -279,76 +180,7 @@ def _same_field(a: GfPoly, b: GfPoly) -> int:
     return a.modulus
 
 
-def _nonzero_divisor(b: GfPoly) -> None:
-    if b.is_zero:
-        raise ValueError("division by the zero polynomial")
-
-
-def gf_x(q: int) -> GfPoly:
-    """The monomial x over GF(q)."""
-    return GfPoly(q, (0, 1))
-
-
-def gf_add(a: GfPoly, b: GfPoly) -> GfPoly:
-    q = _same_field(a, b)
-    return GfPoly(q, _add(q, a.coeffs, b.coeffs))
-
-
-def gf_sub(a: GfPoly, b: GfPoly) -> GfPoly:
-    q = _same_field(a, b)
-    return GfPoly(q, _sub(q, a.coeffs, b.coeffs))
-
-
-def gf_mul(a: GfPoly, b: GfPoly) -> GfPoly:
-    q = _same_field(a, b)
-    return GfPoly(q, _mul(q, a.coeffs, b.coeffs))
-
-
-def gf_divmod(a: GfPoly, b: GfPoly) -> tuple[GfPoly, GfPoly]:
-    q = _same_field(a, b)
-    _nonzero_divisor(b)
-    quo, rem = _divmod(q, a.coeffs, b.coeffs)
-    return GfPoly(q, quo), GfPoly(q, rem)
-
-
-def gf_mod(a: GfPoly, b: GfPoly) -> GfPoly:
-    return gf_divmod(a, b)[1]
-
-
-def gf_monic(a: GfPoly) -> GfPoly:
-    return GfPoly(a.modulus, _monic(a.modulus, a.coeffs))
-
-
 def gf_gcd(a: GfPoly, b: GfPoly) -> GfPoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     q = _same_field(a, b)
     return GfPoly(q, _gcd(q, a.coeffs, b.coeffs))
-
-
-def gf_pow_mod(base: GfPoly, exp: int, mod: GfPoly) -> GfPoly:
-    """base**exp reduced mod ``mod``, by binary exponentiation."""
-    q = _same_field(base, mod)
-    if exp < 0:
-        raise ValueError("negative exponent")
-    _nonzero_divisor(mod)
-    return GfPoly(q, _pow_mod(q, base.coeffs, exp, mod.coeffs))
-
-
-def gf_factor(a: GfPoly, rng: random.Random | None = None) -> list[tuple[GfPoly, int]]:
-    """Full factorization into monic irreducibles with multiplicities.
-
-    Returns [(g, e), ...] sorted by (degree, coefficients); the product of
-    g**e times the leading coefficient of ``a`` reconstructs ``a``.
-    """
-    if a.is_zero:
-        raise ValueError("cannot factor the zero polynomial")
-    if rng is None:
-        rng = random.Random(1)
-    q = a.modulus
-    out = []
-    for part, mult in _squarefree(q, a.coeffs):
-        for piece, deg in _distinct_degree_parts(q, part):
-            for g in _equal_degree_split(q, piece, deg, rng):
-                out.append((g, mult))
-    out.sort(key=lambda ge: (len(ge[0]), ge[0]))
-    return [(GfPoly(q, g), mult) for g, mult in out]

@@ -185,8 +185,10 @@ def search_lines(
 ) -> Iterator[str]:
     """Stream formatted lines for a box search; output is worker-count invariant.
 
-    ``on_skip`` receives one message per cell the chosen format had to drop
-    (CSV only); leaving it None discards the messages.
+    The arguments are checked here, before the first line is asked for, so a
+    caller can reject them before writing anything.  ``on_skip`` receives one
+    message per cell the chosen format had to drop (CSV only); leaving it
+    None discards the messages.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -195,28 +197,31 @@ def search_lines(
     if b_min > b_max or d_min > d_max:
         raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
 
-    if workers == 1:
-        for item in iter_box(
-            b_min, b_max, d_min, d_max, c4_only=c4_only, monogenic_only=monogenic_only
-        ):
-            line = format_item(item, fmt)
-            if line is None:
-                if on_skip is not None:
-                    assert isinstance(item, SearchError)
-                    on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
-            else:
-                yield line
-        return
+    def stream() -> Iterator[str]:
+        if workers == 1:
+            for item in iter_box(
+                b_min, b_max, d_min, d_max, c4_only=c4_only, monogenic_only=monogenic_only
+            ):
+                line = format_item(item, fmt)
+                if line is None:
+                    if on_skip is not None:
+                        assert isinstance(item, SearchError)
+                        on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
+                else:
+                    yield line
+            return
 
-    strips = _split_strips(b_min, b_max, workers)
-    args = [(lo, hi, d_min, d_max, c4_only, monogenic_only, fmt) for lo, hi in strips]
-    # strips fix the output; the pool size only bounds the processes started
-    with ProcessPoolExecutor(max_workers=min(len(strips), os.cpu_count() or 1)) as pool:
-        for lines, skips in pool.map(_strip_worker, args):
-            if on_skip is not None:
-                for msg in skips:
-                    on_skip(msg)
-            yield from lines
+        strips = _split_strips(b_min, b_max, workers)
+        args = [(lo, hi, d_min, d_max, c4_only, monogenic_only, fmt) for lo, hi in strips]
+        # strips fix the output; the pool size only bounds the processes started
+        with ProcessPoolExecutor(max_workers=min(len(strips), os.cpu_count() or 1)) as pool:
+            for lines, skips in pool.map(_strip_worker, args):
+                if on_skip is not None:
+                    for msg in skips:
+                        on_skip(msg)
+                yield from lines
+
+    return stream()
 
 
 _EXPECTED_MONOGENIC_C4 = (Trinomial(-5, 5), Trinomial(-4, 2), Trinomial(4, 2))

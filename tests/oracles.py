@@ -3,11 +3,9 @@
 Everything here is written for obviousness, not speed: dense list
 polynomials, Fraction linear algebra, exhaustive enumeration.  None of it
 imports from c4quartic, so agreement between package and oracle is evidence
-rather than tautology.  The two exceptions are ``is_monogenic_reference``,
+rather than tautology.  The one exception is ``is_monogenic_reference``,
 which assembles a report from the package's validating public entry points
-alone, as the slow reference for the single pass inside ``is_monogenic``,
-and ``dedekind_via_factor``, Dedekind's criterion through the public
-``gf_factor``, the reference for the squarefree route of ``dedekind``.
+alone, as the slow reference for the single pass inside ``is_monogenic``.
 """
 
 from __future__ import annotations
@@ -196,18 +194,6 @@ def monic_polys(q, degree):
         yield lower + (1,)
 
 
-def nmod_is_irreducible(q, a):
-    a = nmod_trim(q, a)
-    deg = len(a) - 1
-    if deg < 1:
-        return False
-    for k in range(1, deg // 2 + 1):
-        for g in monic_polys(q, k):
-            if not nmod_divmod(q, a, g)[1]:
-                return False
-    return True
-
-
 def nmod_factor(q, a):
     """Factor into monic irreducibles by trial division, smallest first.
 
@@ -362,36 +348,3 @@ def is_monogenic_reference(t):
         field_disc=disc if not blocked else None,
         signature=signature(t),
     )
-
-
-# ---------------------------------------------------------------------------
-# Dedekind's criterion through the full factorization, on the public GF(q) API
-
-
-def dedekind_via_factor(t, q):
-    """Dedekind's criterion from the irreducible factors given by ``gf_factor``.
-
-    Lifts the full factorization of f mod q to Z, forms the defect
-    (f - lift)/q and tests its gcd with the product of the repeated
-    irreducible factors.  This was the package's own route before it moved
-    to the squarefree decomposition; it is kept as the reference for it.
-    """
-    from c4quartic.gfq import GfPoly, gf_factor, gf_gcd, gf_mul
-
-    f = list(t.coefficients())
-    factors = gf_factor(GfPoly(q, tuple(f)))
-    lift = [1]
-    for g, e in factors:
-        for _ in range(e):
-            lift = poly_mul(lift, list(g.coeffs))
-    assert len(lift) == len(f)
-    defect = []
-    for fc, gc in zip(f, lift):
-        quo, rem = divmod(fc - gc, q)
-        assert rem == 0
-        defect.append(quo)
-    repeated = GfPoly(q, (1,))
-    for g, e in factors:
-        if e >= 2:
-            repeated = gf_mul(repeated, g)
-    return gf_gcd(GfPoly(q, tuple(defect)), repeated).degree > 0

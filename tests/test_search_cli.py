@@ -288,6 +288,27 @@ class TestCli:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "box, workers",
+        [(("5", "1", "1", "2"), "1"), (("1", "2", "1", "2"), "0")],
+        ids=["empty-box", "workers-0"],
+    )
+    def test_rejected_search_writes_nothing(self, capsys, box, workers, fmt):
+        b_min, b_max, d_min, d_max = box
+        rc = main(
+            [
+                "search",
+                "--b-min", b_min, "--b-max", b_max,
+                "--d-min", d_min, "--d-max", d_max,
+                "--format", fmt, "--workers", workers,
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])
