@@ -45,7 +45,11 @@ def dedekind_divides_index(t: Trinomial, q: int) -> bool:
         raise ValueError(f"{q} is not prime")
     if not is_irreducible(t):
         raise ValueError(f"{t} is reducible; the index test needs a quartic field")
+    return _divides_index(t, q)
 
+
+def _divides_index(t: Trinomial, q: int) -> bool:
+    # unchecked core of dedekind_divides_index: q prime, t irreducible
     f = t.coefficients()
     # f is monic, so its reduction is already trimmed
     parts = _squarefree(q, tuple(c % q for c in f))

@@ -1,31 +1,20 @@
-"""Dense univariate polynomial arithmetic over GF(q), q prime.
+"""Dense univariate polynomial arithmetic over GF(q), q prime: an unchecked kernel.
 
 Polynomials are immutable coefficient tuples, lowest degree first, always
 reduced mod q and trimmed of leading zeros (the zero polynomial is the empty
-tuple, degree -1).  The private functions (``_mul``, ``_divmod``, ``_gcd``,
-``_monic``, ``_squarefree`` and ``_shares_factor``) are the only
-implementation of each operation: they take such tuples and the modulus,
-check nothing, and return such tuples.  The public ``GfPoly`` and
-``gf_gcd`` check their input (prime modulus, same field), run one kernel
-call and wrap the result once.
+tuple, degree -1).  Every function here is private and checks nothing: the
+caller passes a prime q and tuples in that form (``_trim`` makes one from
+any integer sequence), and gets such tuples back.  The callers are the
+Dedekind route (``_squarefree``, ``_shares_factor``) and branch 4 of the
+index test (``_trim``, ``_gcd``, always at q = 2); they validate their own
+inputs, so there is no public API.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
-from .intarith import is_prime
-
-__all__ = ["GfPoly", "gf_gcd"]
+__all__: list[str] = []
 
 Coeffs = tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _check_modulus(q: int) -> None:
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
 
 
 def _trim(q: int, cs) -> Coeffs:
@@ -34,41 +23,6 @@ def _trim(q: int, cs) -> Coeffs:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class GfPoly:
-    """A polynomial over GF(modulus); coeffs[i] multiplies x^i."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_modulus(self.modulus)
-        object.__setattr__(self, "coeffs", _trim(self.modulus, self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else f"{c}*x")
-            else:
-                terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-        return " + ".join(reversed(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +123,3 @@ def _shares_factor(q: int, a, parts: list[tuple[Coeffs, int]]) -> bool:
             repeated = _mul(q, repeated, p)
     return len(_gcd(q, _trim(q, a), repeated)) > 1
 
-
-# ---------------------------------------------------------------------------
-# the checked public API: one kernel call, one wrap per result
-
-
-def _same_field(a: GfPoly, b: GfPoly) -> int:
-    if a.modulus != b.modulus:
-        raise ValueError(f"mixed moduli {a.modulus} and {b.modulus}")
-    return a.modulus
-
-
-def gf_gcd(a: GfPoly, b: GfPoly) -> GfPoly:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    q = _same_field(a, b)
-    return GfPoly(q, _gcd(q, a.coeffs, b.coeffs))

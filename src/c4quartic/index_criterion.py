@@ -17,7 +17,8 @@ mutually exclusive branches on the divisibility pattern of (b, d) by q:
 All intermediate divisions are exact by construction; a nonzero remainder
 would mean the branch dispatch is wrong, so it raises ArithmeticError rather
 than returning a wrong verdict.  Verdicts carry their branch, intermediates,
-and (for branch 4) the two GF(2) polynomials, so a caller can show its work.
+and (for branch 4) the two GF(2) polynomials and their gcd as coefficient
+tuples, lowest degree first, so a caller can show its work.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .gfq import GfPoly, gf_gcd
+from .gfq import Coeffs, _gcd, _trim
 from .intarith import is_prime
 from .trinomial import Trinomial, discriminant, is_irreducible
 
@@ -69,9 +70,9 @@ class PrimeVerdict:
     divides_index: bool
     branch: int | None
     intermediates: BranchIntermediates | None = None
-    h1: GfPoly | None = None
-    h2: GfPoly | None = None
-    h_gcd: GfPoly | None = None
+    h1: Coeffs | None = None
+    h2: Coeffs | None = None
+    h_gcd: Coeffs | None = None
 
     @classmethod
     def skipped(cls, prime: int) -> "PrimeVerdict":
@@ -88,7 +89,7 @@ class PrimeVerdict:
             out["intermediates"] = self.intermediates.to_dict()
         for name, poly in (("h1", self.h1), ("h2", self.h2), ("h_gcd", self.h_gcd)):
             if poly is not None:
-                out[name] = list(poly.coeffs)
+                out[name] = list(poly)
         return out
 
 
@@ -139,10 +140,10 @@ def _branch_4(t: Trinomial, q: int) -> PrimeVerdict:
 def _branch_4_mod4(b: int, d: int) -> PrimeVerdict:
     # h1 and h2 reduced mod 2 depend only on (b, d) mod 4, so the odd
     # residues give at most four verdicts; they are frozen, hence shareable
-    h1 = GfPoly(2, (d, b, 1))
-    h2 = GfPoly(2, (_exact_div(d * (1 + d), 2), b * d, _exact_div(b * (1 + b), 2)))
-    g = gf_gcd(h1, h2)
-    return PrimeVerdict(2, True, g.degree > 0, 4, h1=h1, h2=h2, h_gcd=g)
+    h1 = _trim(2, (d, b, 1))
+    h2 = _trim(2, (_exact_div(d * (1 + d), 2), b * d, _exact_div(b * (1 + b), 2)))
+    g = _gcd(2, h1, h2)
+    return PrimeVerdict(2, True, len(g) > 1, 4, h1=h1, h2=h2, h_gcd=g)
 
 
 def _branch_5(t: Trinomial, q: int) -> PrimeVerdict:

@@ -1,7 +1,8 @@
 """Validated entry point for the cyclic quartic box scan.
 
 The work is done by the exact (s, u, w) enumeration in :mod:`._scan_py`;
-this module checks the box and names the backend for run records.
+this module checks the box, for every box-taking entry point of the
+package, and names the backend for run records.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ def active_backend() -> str:
     return "pure"
 
 
+def _check_box(b_min: int, b_max: int, d_min: int, d_max: int) -> None:
+    if b_min > b_max or d_min > d_max:
+        raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
+
+
 def scan_c4_candidates(
     b_min: int, b_max: int, d_min: int, d_max: int
 ) -> list[tuple[int, int]]:
     """All cyclic quartic (b, d) in the box, ascending; see :func:`_scan_py.scan_c4`."""
-    if b_min > b_max or d_min > d_max:
-        raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
+    _check_box(b_min, b_max, d_min, d_max)
     return scan_c4(b_min, b_max, d_min, d_max)

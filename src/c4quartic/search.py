@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .fields import distinct_fields
-from .index_criterion import PrimeVerdict, prime_index_test
-from .dedekind import dedekind_divides_index
+from .index_criterion import PrimeVerdict, _verdict
+from .dedekind import _divides_index
 from .intarith import FactorizationIncomplete, primes_upto
 from .monogenic import DegenerateTrinomialError, MonogenicityReport, is_monogenic
-from .scan import scan_c4_candidates
+from .scan import _check_box, scan_c4_candidates
 from .trinomial import Trinomial, discriminant, is_irreducible
 
 __all__ = [
@@ -81,12 +81,19 @@ def iter_box(
 ) -> Iterator[MonogenicityReport | SearchError]:
     """Classify every cell of the box in (b, d)-ascending order.
 
-    ``c4_only`` restricts to cyclic quartic cells via the fast scan before
-    any heavier work; ``monogenic_only`` drops non-monogenic reports.
+    The box is checked when this is called, before the first item is asked
+    for.  ``c4_only`` restricts to cyclic quartic cells via the fast scan
+    before any heavier work; ``monogenic_only`` drops non-monogenic reports.
     Error records always pass through the filters.
     """
-    if b_min > b_max or d_min > d_max:
-        raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
+    _check_box(b_min, b_max, d_min, d_max)
+    return _items(b_min, b_max, d_min, d_max, c4_only, monogenic_only)
+
+
+def _items(
+    b_min: int, b_max: int, d_min: int, d_max: int, c4_only: bool, monogenic_only: bool
+) -> Iterator[MonogenicityReport | SearchError]:
+    # unchecked body of iter_box: the box is non-empty
     if c4_only:
         cells: Iterator[tuple[int, int]] = iter(scan_c4_candidates(b_min, b_max, d_min, d_max))
     else:
@@ -130,6 +137,19 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
     return ",".join(fields)
 
 
+def _lines(
+    items: Iterator[MonogenicityReport | SearchError], fmt: str, on_skip: Callable[[str], None]
+) -> Iterator[str]:
+    """One line per item; each item the format cannot carry goes to ``on_skip``."""
+    for item in items:
+        line = format_item(item, fmt)
+        if line is None:
+            assert isinstance(item, SearchError)
+            on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
+        else:
+            yield line
+
+
 def _lines_for_range(
     b_lo: int,
     b_hi: int,
@@ -139,18 +159,9 @@ def _lines_for_range(
     monogenic_only: bool,
     fmt: str,
 ) -> tuple[list[str], list[str]]:
-    lines: list[str] = []
     skips: list[str] = []
-    for item in iter_box(
-        b_lo, b_hi, d_min, d_max, c4_only=c4_only, monogenic_only=monogenic_only
-    ):
-        line = format_item(item, fmt)
-        if line is None:
-            assert isinstance(item, SearchError)
-            skips.append(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
-        else:
-            lines.append(line)
-    return lines, skips
+    items = _items(b_lo, b_hi, d_min, d_max, c4_only, monogenic_only)
+    return list(_lines(items, fmt, skips.append)), skips
 
 
 def _strip_worker(args: tuple) -> tuple[list[str], list[str]]:
@@ -194,31 +205,19 @@ def search_lines(
         raise ValueError("workers must be at least 1")
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
-    if b_min > b_max or d_min > d_max:
-        raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
+    _check_box(b_min, b_max, d_min, d_max)
+    skip = on_skip or (lambda msg: None)
+    if workers == 1:
+        return _lines(_items(b_min, b_max, d_min, d_max, c4_only, monogenic_only), fmt, skip)
 
     def stream() -> Iterator[str]:
-        if workers == 1:
-            for item in iter_box(
-                b_min, b_max, d_min, d_max, c4_only=c4_only, monogenic_only=monogenic_only
-            ):
-                line = format_item(item, fmt)
-                if line is None:
-                    if on_skip is not None:
-                        assert isinstance(item, SearchError)
-                        on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
-                else:
-                    yield line
-            return
-
         strips = _split_strips(b_min, b_max, workers)
         args = [(lo, hi, d_min, d_max, c4_only, monogenic_only, fmt) for lo, hi in strips]
         # strips fix the output; the pool size only bounds the processes started
         with ProcessPoolExecutor(max_workers=min(len(strips), os.cpu_count() or 1)) as pool:
             for lines, skips in pool.map(_strip_worker, args):
-                if on_skip is not None:
-                    for msg in skips:
-                        on_skip(msg)
+                for msg in skips:
+                    skip(msg)
                 yield from lines
 
     return stream()
@@ -332,8 +331,7 @@ def oracle_check(
         raise ValueError("samples must be nonnegative")
     if prime_cap < 2:
         raise ValueError("prime_cap must be at least 2")
-    if b_min > b_max or d_min > d_max:
-        raise ValueError(f"empty box [{b_min}, {b_max}] x [{d_min}, {d_max}]")
+    _check_box(b_min, b_max, d_min, d_max)
     rng = random.Random(seed)
     small_primes = primes_upto(prime_cap)
     sampled = agreements = 0
@@ -352,8 +350,10 @@ def oracle_check(
         for q in small_primes:
             if disc % q:
                 continue
-            engine = prime_index_test(t, q)
-            oracle = dedekind_divides_index(t, q)
+            # t is irreducible and q a prime dividing disc(t): the
+            # preconditions of both unchecked cores hold
+            engine = _verdict(t, q)
+            oracle = _divides_index(t, q)
             if engine.divides_index == oracle:
                 agreements += 1
             else:

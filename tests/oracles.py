@@ -188,6 +188,14 @@ def nmod_divmod(q, a, b):
     return nmod_trim(q, quo), nmod_trim(q, a)
 
 
+def nmod_gcd(q, a, b):
+    """Monic gcd by Euclid's algorithm; gcd(0, 0) = 0."""
+    a, b = nmod_trim(q, a), nmod_trim(q, b)
+    while b:
+        a, b = b, nmod_divmod(q, a, b)[1]
+    return nmod_mul(q, a, (pow(a[-1], -1, q),)) if a else ()
+
+
 def monic_polys(q, degree):
     """Every monic polynomial of the given degree over GF(q), lexicographic."""
     for lower in itertools.product(range(q), repeat=degree):
@@ -259,6 +267,57 @@ def trial_factorization(n):
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+# ---------------------------------------------------------------------------
+# closed-form local criterion: valuations and one table mod 4
+
+# (b mod 4, d mod 4) classes where 2 divides the index
+FAILING_CLASSES_MOD_4 = frozenset(
+    {(0, 0), (0, 3), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)}
+)
+
+
+def odd_primes_squared(n):
+    """The odd primes q with q^2 | n, n nonzero, by trial division to the cube root.
+
+    Once no prime below k divides the cofactor m and k^3 > m, m has at most
+    two prime factors, so it is 1, a prime, a product of two distinct primes,
+    or a prime squared; only the last is a perfect square.
+    """
+    assert n != 0
+    m = abs(n)
+    while m % 2 == 0:
+        m //= 2
+    out = []
+    k = 3
+    while k * k * k <= m:
+        if m % k == 0:
+            v = 0
+            while m % k == 0:
+                m //= k
+                v += 1
+            if v >= 2:
+                out.append(k)
+        k += 2
+    r = isqrt(m)
+    if m > 1 and r * r == m:
+        out.append(r)
+    return out
+
+
+def monogenic_closed_form(b, d):
+    """Monogenicity of an irreducible x^4 + b*x^2 + d from valuations alone.
+
+    2 divides the index exactly on the classes in FAILING_CLASSES_MOD_4.  An
+    odd prime q divides it exactly when q^2 | d, or when q does not divide d
+    and q^2 | e = b^2 - 4d.  The cost is the cube roots of |d| and |e|.
+    """
+    if (b % 4, d % 4) in FAILING_CLASSES_MOD_4:
+        return False
+    if odd_primes_squared(d):
+        return False
+    return not any(d % q for q in odd_primes_squared(b * b - 4 * d))
 
 
 # ---------------------------------------------------------------------------

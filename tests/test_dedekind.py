@@ -93,7 +93,7 @@ class TestAgainstOracles:
             pairs.append((t, q))
             return dedekind_divides_index(t, q)
 
-        monkeypatch.setattr(search, "dedekind_divides_index", recording)
+        monkeypatch.setattr(search, "_divides_index", recording)
         bound = 10**6
         result = oracle_check(2000, 1, -bound, bound, -bound, bound)
         assert result.agreements == len(pairs) == 6758

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c4quartic.dedekind import dedekind_divides_index
-from c4quartic.gfq import GfPoly, gf_gcd
 from c4quartic.index_criterion import PrimeVerdict, _branch_4, _branch_4_mod4, prime_index_test
 from c4quartic.intarith import primes_upto
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
+from oracles import nmod_gcd, nmod_trim
 
 coeffs = st.integers(min_value=-120, max_value=120)
 
@@ -47,24 +47,24 @@ class TestBranchSelection:
     def test_branch_4(self):
         v = prime_index_test(Trinomial(5, 5), 2)
         assert (v.branch, v.divides_index) == (4, True)
-        assert v.h1 == GfPoly(2, (1, 1, 1))
-        assert v.h2 == GfPoly(2, (1, 1, 1))
-        assert v.h_gcd == GfPoly(2, (1, 1, 1))
+        assert v.h1 == (1, 1, 1)
+        assert v.h2 == (1, 1, 1)
+        assert v.h_gcd == (1, 1, 1)
 
         v = prime_index_test(Trinomial(-5, 5), 2)
         assert (v.branch, v.divides_index) == (4, False)
-        assert v.h2 == GfPoly(2, (1, 1))
-        assert v.h_gcd.degree == 0
+        assert v.h2 == (1, 1)
+        assert v.h_gcd == (1,)
 
     def test_branch_4_cached_by_residue(self):
         # the verdict is shared per (b mod 4, d mod 4); it must equal the one
         # built from the full coefficients
         for b in range(-41, 42, 2):
             for d in range(-41, 42, 2):
-                h1 = GfPoly(2, (d, b, 1))
-                h2 = GfPoly(2, (d * (1 + d) // 2, b * d, b * (1 + b) // 2))
-                g = gf_gcd(h1, h2)
-                expected = PrimeVerdict(2, True, g.degree > 0, 4, h1=h1, h2=h2, h_gcd=g)
+                h1 = nmod_trim(2, (d, b, 1))
+                h2 = nmod_trim(2, (d * (1 + d) // 2, b * d, b * (1 + b) // 2))
+                g = nmod_gcd(2, h1, h2)
+                expected = PrimeVerdict(2, True, len(g) > 1, 4, h1=h1, h2=h2, h_gcd=g)
                 assert _branch_4(Trinomial(b, d), 2) == expected, (b, d)
         assert _branch_4_mod4.cache_info().currsize <= 4
 

@@ -11,7 +11,7 @@ from c4quartic.monogenic import (
     structural_constraints,
 )
 from c4quartic.trinomial import Signature, Trinomial, discriminant, is_irreducible
-from oracles import is_monogenic_reference
+from oracles import is_monogenic_reference, monogenic_closed_form
 
 coeffs = st.integers(min_value=-150, max_value=150)
 
@@ -132,6 +132,34 @@ class TestSinglePassAgainstReference:
             for d in range(10**9, 10**9 + 30):
                 t = Trinomial(b, d)
                 assert is_monogenic(t) == is_monogenic_reference(t), (b, d)
+
+
+class TestClosedFormAgainstEngine:
+    """The five branches, read prime by prime, reduce to valuations and a table mod 4."""
+
+    def test_every_small_irreducible_cell(self):
+        verdicts = {True: 0, False: 0}
+        for b in range(-60, 61):
+            for d in range(-60, 61):
+                if d == 0:
+                    continue
+                r = is_monogenic(Trinomial(b, d))
+                if r.irreducible:
+                    assert r.monogenic == monogenic_closed_form(b, d), (b, d)
+                    verdicts[r.monogenic] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    @given(
+        st.integers(min_value=-2 * 10**6, max_value=2 * 10**6),
+        st.integers(min_value=10**12 - 10**6, max_value=10**12 + 10**6),
+        st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=200)
+    def test_near_10_to_the_12(self, b, d_abs, sign):
+        d = sign * d_abs
+        r = is_monogenic(Trinomial(b, d))
+        if r.irreducible:
+            assert r.monogenic == monogenic_closed_form(b, d)
 
 
 class TestReportDict:

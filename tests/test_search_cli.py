@@ -53,6 +53,11 @@ class TestIterBox:
         with pytest.raises(ValueError):
             list(iter_box(2, 1, 0, 0))
 
+    def test_empty_box_rejected_when_called(self):
+        # checked at the call, not at the first next, like search_lines
+        with pytest.raises(ValueError, match="empty box"):
+            iter_box(2, 1, 0, 0)
+
 
 class TestFormatting:
     def test_json_report_line(self):
