@@ -6,19 +6,25 @@ exactly when no such q divides the index.  The decision splits into five
 mutually exclusive branches on the divisibility pattern of (b, d) by q:
 
   1. q | b, q | d          index-free iff q^2 does not divide d
-  2. q | b, q ∤ d          two-disjunct test on b2 = b/q and d1 = (d + (-d)^s)/q,
-                           where s is the largest power of q dividing 4
-  3. q ∤ b, q | d          mirror test on b1 = (b + (-b)^s)/q and d2 = d/q,
-                           where s is the largest power of q dividing 2
+  2. q = 2, 2 | b, 2 ∤ d   two-disjunct test on b2 = b/2 and d1 = (d + d^4)/2
+  3. q ∤ b, q | d          index-free iff q | b1 and q ∤ d2, where d2 = d/q and
+                           b1 = (b + (-b)^s)/q with s = 2 at q = 2, else 1
   4. q = 2, 2 ∤ b*d        coprimality over GF(2) of x^2 + b*x + d and
                            (b*x^2 + d + (b*x + d)^2)/2
   5. q ∤ 2*b*d             index-free iff q^2 does not divide b^2 - 4*d
 
-All intermediate divisions are exact by construction; a nonzero remainder
-would mean the branch dispatch is wrong, so it raises ArithmeticError rather
-than returning a wrong verdict.  Verdicts carry their branch, intermediates,
-and (for branch 4) the two GF(2) polynomials and their gcd as coefficient
-tuples, lowest degree first, so a caller can show its work.
+These are the arms of the trinomial criterion of Jakhar, Khanduja and
+Sangwan that can fire on this shape.  Branch 2 is q = 2 only: an odd q with
+q | b and q ∤ d has b^2 - 4d = -4d, a unit mod q, so q ∤ disc(f).  Branch 3
+drops the second disjunct, b1*d2*(d2 - b*b1) a unit mod q, which never
+holds: b1 = 0 at odd q, and at q = 2 odd b1 and d2 make d2 - b*b1 even.
+
+All intermediate divisions are exact by construction; a nonzero remainder,
+or an odd prime reaching branch 2, would mean the branch dispatch is wrong,
+so it raises ArithmeticError rather than returning a wrong verdict.
+Verdicts carry their branch, intermediates, and (for branch 4) the two GF(2)
+polynomials and their gcd as coefficient tuples, lowest degree first, so a
+caller can show its work.
 """
 
 from __future__ import annotations
@@ -104,36 +110,29 @@ def _branch_1(t: Trinomial, q: int) -> PrimeVerdict:
     return PrimeVerdict(q, True, t.d % (q * q) == 0, 1)
 
 
-def _branch_2(t: Trinomial, q: int) -> PrimeVerdict:
-    s = 4 if q == 2 else 1
-    b2 = _exact_div(t.b, q)
-    d1 = _exact_div(t.d + (-t.d) ** s, q)
-    if b2 % q == 0 and d1 % q != 0:
+def _branch_2(t: Trinomial) -> PrimeVerdict:
+    # q = 2 only, so s = 4 and (-d)^4 = d^4
+    b2 = _exact_div(t.b, 2)
+    d1 = _exact_div(t.d + t.d**4, 2)
+    if b2 % 2 == 0 and d1 % 2 != 0:
         disjunct = 1
-    elif (b2 * (-t.d * b2 * b2 - d1 * d1)) % q != 0:
+    elif (b2 * (-t.d * b2 * b2 - d1 * d1)) % 2 != 0:
         disjunct = 2
     else:
         disjunct = None
-    inter = BranchIntermediates(b2=b2, d1=d1, s=s, disjunct=disjunct)
-    return PrimeVerdict(q, True, disjunct is None, 2, inter)
+    inter = BranchIntermediates(b2=b2, d1=d1, s=4, disjunct=disjunct)
+    return PrimeVerdict(2, True, disjunct is None, 2, inter)
 
 
 def _branch_3(t: Trinomial, q: int) -> PrimeVerdict:
     s = 2 if q == 2 else 1
     b1 = _exact_div(t.b + (-t.b) ** s, q)
     d2 = _exact_div(t.d, q)
-    if b1 % q == 0 and d2 % q != 0:
-        disjunct = 1
-    elif (b1 * d2 * (-t.b * b1 + d2)) % q != 0:
-        disjunct = 2
-    else:
-        disjunct = None
+    # no second disjunct: b1*d2*(d2 - b*b1) is never a unit mod q, since
+    # b1 = 0 at odd q and odd b1, d2 make d2 - b*b1 even at q = 2
+    disjunct = 1 if b1 % q == 0 and d2 % q != 0 else None
     inter = BranchIntermediates(b1=b1, d2=d2, s=s, disjunct=disjunct)
     return PrimeVerdict(q, True, disjunct is None, 3, inter)
-
-
-def _branch_4(t: Trinomial, q: int) -> PrimeVerdict:
-    return _branch_4_mod4(t.b % 4, t.d % 4)
 
 
 @functools.cache
@@ -157,11 +156,13 @@ def _verdict(t: Trinomial, q: int) -> PrimeVerdict:
     if b_div and d_div:
         return _branch_1(t, q)
     if b_div:
-        return _branch_2(t, q)
+        if q != 2:
+            raise ArithmeticError(f"{t} at odd {q} reached branch 2; dispatch is broken")
+        return _branch_2(t)
     if d_div:
         return _branch_3(t, q)
     if q == 2:
-        return _branch_4(t, q)
+        return _branch_4_mod4(t.b % 4, t.d % 4)
     return _branch_5(t, q)
 
 

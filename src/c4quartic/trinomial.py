@@ -82,7 +82,7 @@ def _irreducible(b: int, d: int, e: int) -> bool:
 
 
 def _c4(d: int, e: int) -> bool:
-    # unchecked core of is_c4; the caller has established irreducibility
+    # unchecked core of is_c4; non-square d and e already make _irreducible true
     return not is_square(d) and not is_square(e) and is_square(d * e)
 
 
@@ -114,13 +114,10 @@ def is_c4(t: Trinomial) -> bool:
 
     For an irreducible biquadratic this happens exactly when d and
     b^2 - 4d are both non-squares while their product d*(b^2 - 4d) is a
-    square.  The product condition already forces the trinomial to pass
-    the irreducibility test whenever d is a non-square, but we check
-    explicitly so reducible input never slips through.
+    square.  Those two non-squares already make the trinomial irreducible,
+    so reducible input never passes.
     """
-    b, d = t.b, t.d
-    e = b * b - 4 * d
-    return _c4(d, e) and _irreducible(b, d, e)
+    return _c4(t.d, t.b * t.b - 4 * t.d)
 
 
 def signature(t: Trinomial) -> Signature:

@@ -306,18 +306,28 @@ def odd_primes_squared(n):
     return out
 
 
+def closed_form_divides_index(b, d, q):
+    """Whether the prime q divides the index of an irreducible x^4 + b*x^2 + d.
+
+    2 divides it exactly on the classes in FAILING_CLASSES_MOD_4.  An odd
+    prime q divides it exactly when q^2 | d, or when q does not divide d and
+    q^2 | e = b^2 - 4d.  Both depend only on (b, d) mod q^2.
+    """
+    if q == 2:
+        return (b % 4, d % 4) in FAILING_CLASSES_MOD_4
+    qq = q * q
+    return d % qq == 0 or (d % q != 0 and (b * b - 4 * d) % qq == 0)
+
+
 def monogenic_closed_form(b, d):
     """Monogenicity of an irreducible x^4 + b*x^2 + d from valuations alone.
 
-    2 divides the index exactly on the classes in FAILING_CLASSES_MOD_4.  An
-    odd prime q divides it exactly when q^2 | d, or when q does not divide d
-    and q^2 | e = b^2 - 4d.  The cost is the cube roots of |d| and |e|.
+    Only 2 and the odd q with q^2 dividing d or e = b^2 - 4d can divide the
+    index, so ``closed_form_divides_index`` runs on those alone.  The cost is
+    the cube roots of |d| and |e|.
     """
-    if (b % 4, d % 4) in FAILING_CLASSES_MOD_4:
-        return False
-    if odd_primes_squared(d):
-        return False
-    return not any(d % q for q in odd_primes_squared(b * b - 4 * d))
+    candidates = {2, *odd_primes_squared(d), *odd_primes_squared(b * b - 4 * d)}
+    return not any(closed_form_divides_index(b, d, q) for q in candidates)
 
 
 # ---------------------------------------------------------------------------

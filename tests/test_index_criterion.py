@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c4quartic.dedekind import dedekind_divides_index
-from c4quartic.index_criterion import PrimeVerdict, _branch_4, _branch_4_mod4, prime_index_test
+from c4quartic.index_criterion import PrimeVerdict, _branch_4_mod4, _verdict, prime_index_test
 from c4quartic.intarith import primes_upto
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
-from oracles import nmod_gcd, nmod_trim
+from oracles import closed_form_divides_index, dedekind_bruteforce, nmod_gcd, nmod_trim
 
 coeffs = st.integers(min_value=-120, max_value=120)
 
@@ -65,7 +65,7 @@ class TestBranchSelection:
                 h2 = nmod_trim(2, (d * (1 + d) // 2, b * d, b * (1 + b) // 2))
                 g = nmod_gcd(2, h1, h2)
                 expected = PrimeVerdict(2, True, len(g) > 1, 4, h1=h1, h2=h2, h_gcd=g)
-                assert _branch_4(Trinomial(b, d), 2) == expected, (b, d)
+                assert _verdict(Trinomial(b, d), 2) == expected, (b, d)
         assert _branch_4_mod4.cache_info().currsize <= 4
 
     def test_branch_5(self):
@@ -133,6 +133,44 @@ class TestClosedForms:
         assert v.divides_index == (not expected_free)
 
 
+def irreducible_lift(b, d, m):
+    """The first irreducible (b + m*i, d + m*j) with d != 0, small i and j first."""
+    for i in range(4):
+        for j in range(4):
+            t = Trinomial(b + m * i, d + m * j)
+            if t.d and is_irreducible(t):
+                return t
+    raise AssertionError(f"no irreducible lift of {(b, d)} mod {m}")
+
+
+class TestResidueClasses:
+    # every verdict at q depends only on (b, d) mod q^2, so one irreducible
+    # lift per residue class settles the engine's branches for all (b, d)
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_every_class_mod_q_squared(self, q):
+        qq = q * q
+        checked = 0
+        for b0 in range(qq):
+            for d0 in range(qq):
+                t = irreducible_lift(b0, d0, qq)
+                b, d = t.b, t.d
+                if q > 2 and b % q == 0 and d % q != 0:
+                    # branch 2 never meets an odd prime
+                    assert discriminant(t) % q != 0, (b, d)
+                if discriminant(t) % q:
+                    continue
+                engine = _verdict(t, q).divides_index
+                assert engine == dedekind_bruteforce(b, d, q), (b, d, q)
+                assert engine == closed_form_divides_index(b, d, q), (b, d, q)
+                if d % q == 0 and b % q != 0:
+                    # branch 3's deleted disjunct is never a unit mod q
+                    s = 2 if q == 2 else 1
+                    b1, d2 = (b + (-b) ** s) // q, d // q
+                    assert b1 * d2 * (d2 - b * b1) % q == 0, (b, d, q)
+                checked += 1
+        assert checked > 0
+
+
 class TestValidation:
     def test_composite_q_rejected(self):
         with pytest.raises(ValueError):
@@ -145,6 +183,12 @@ class TestValidation:
     def test_prime_outside_disc_rejected(self):
         with pytest.raises(ValueError):
             prime_index_test(Trinomial(5, 5), 3)
+
+    def test_unchecked_dispatch_refuses_branch_2_at_odd_prime(self):
+        # 3 | b and 3 ∤ d keep 3 out of disc(f), so only a broken caller
+        # gets here; the dispatch raises rather than label it prime 2
+        with pytest.raises(ArithmeticError):
+            _verdict(Trinomial(3, 1), 3)
 
 
 class TestVerdictType:

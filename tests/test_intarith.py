@@ -1,11 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from c4quartic.intarith import (
+    _MR_BASES,
+    _MR_PROVEN_BOUND,
     Factorization,
     FactorizationIncomplete,
+    _miller_rabin,
     factor,
     is_prime,
     is_square,
@@ -80,6 +84,36 @@ class TestIsPrime:
     def test_matches_trial_division(self, n):
         by_trial = all(n % k for k in range(2, math.isqrt(n) + 1))
         assert is_prime(n) == by_trial
+
+    # psi_12, the least strong pseudoprime to all twelve bases, is the bound
+    # past which the strong Lucas test decides
+    PSI_12 = 3317044064679887385961981
+
+    def test_psi_12_needs_the_lucas_test(self):
+        assert self.PSI_12 == 1287836182261 * 2575672364521 == _MR_PROVEN_BOUND
+        assert all(_miller_rabin(self.PSI_12, a) for a in _MR_BASES)
+        assert not is_prime(self.PSI_12)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            3317044064679887385962123,  # the first prime past psi_12
+            10**25 + 13,
+            1237940039285380274899124357,  # the first prime past 2^90
+        ],
+    )
+    def test_primes_past_the_proven_bound(self, p):
+        # unlike the Mersenne primes, n + 1 is not a power of two here, so
+        # the Lucas sequence runs its general bit loop
+        assert is_prime(p)
+
+    def test_matches_sympy_past_the_proven_bound(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(12)
+        odd = [rng.randrange(self.PSI_12, 2**100) | 1 for _ in range(3000)]
+        primes = [sympy.nextprime(rng.randrange(self.PSI_12, 2**100)) for _ in range(200)]
+        for n in odd + primes:
+            assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestPrimesUpto:

@@ -204,6 +204,92 @@ class TestOracleCheck:
         with pytest.raises(ValueError):
             oracle_check(-1, 1, 0, 1, 1, 2)
 
+    def test_prime_cap_below_2_rejected(self):
+        with pytest.raises(ValueError):
+            oracle_check(5, 1, -10, 10, -10, 10, prime_cap=1)
+
+
+def flip_first_oracle_answer(monkeypatch):
+    """Negate the Dedekind oracle on the first (t, q) it is asked about."""
+    real = search._divides_index
+    flipped = []
+
+    def patched(t, q):
+        ans = real(t, q)
+        if not flipped:
+            flipped.append((t, q, not ans))
+            return not ans
+        return ans
+
+    monkeypatch.setattr(search, "_divides_index", patched)
+    return flipped
+
+
+class TestOracleCheckEdges:
+    ARGS = (25, 9, -30, 30, -30, 30)
+
+    def test_disagreement_is_reported(self, monkeypatch):
+        honest = oracle_check(*self.ARGS)
+        flipped = flip_first_oracle_answer(monkeypatch)
+        res = oracle_check(*self.ARGS)
+        [(t, q, oracle)] = flipped
+        [dis] = res.disagreements
+        assert (dis.trinomial, dis.prime, dis.oracle_divides) == (t, q, oracle)
+        assert dis.engine.divides_index != oracle
+        assert res.agreements == honest.agreements - 1
+        out = dis.to_dict()
+        assert set(out) == {"trinomial", "prime", "engine", "oracle_divides"}
+        assert out["trinomial"] == {"b": t.b, "d": t.d}
+        assert out["engine"]["prime"] == q
+
+    def test_cli_prints_it_and_exits_1(self, monkeypatch, capsys):
+        flipped = flip_first_oracle_answer(monkeypatch)
+        rc = main(
+            [
+                "oracle-check",
+                "--samples", "25", "--seed", "9",
+                "--b-bound", "30", "--d-bound", "30",
+            ]
+        )
+        assert rc == 1
+        [(t, q, oracle)] = flipped
+        [dis] = json.loads(capsys.readouterr().out)["disagreements"]
+        assert dis["trinomial"] == {"b": t.b, "d": t.d}
+        assert (dis["prime"], dis["oracle_divides"]) == (q, oracle)
+
+    def test_cli_prime_cap_bounds_the_primes(self, monkeypatch, capsys):
+        asked = []
+
+        def recording(t, q):
+            asked.append(q)
+            return real(t, q)
+
+        real = search._divides_index
+        monkeypatch.setattr(search, "_divides_index", recording)
+        rc = main(
+            [
+                "oracle-check",
+                "--samples", "40", "--seed", "3",
+                "--b-bound", "40", "--d-bound", "40", "--prime-cap", "3",
+            ]
+        )
+        assert rc == 0
+        assert set(asked) == {2, 3}
+        assert json.loads(capsys.readouterr().out)["agreements"] == len(asked)
+
+    def test_cli_prime_cap_1_exits_2(self, capsys):
+        rc = main(
+            [
+                "oracle-check",
+                "--samples", "5", "--seed", "1",
+                "--b-bound", "10", "--d-bound", "10", "--prime-cap", "1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestCli:
     def test_classify(self, capsys):
