@@ -98,10 +98,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
         workers=args.workers,
         on_skip=lambda msg: print(f"skipped {msg}", file=sys.stderr),
     )
+    # one write per line, each as soon as it is ready: print would make two
+    write = sys.stdout.write
     if args.format == "csv":
-        print(CSV_HEADER)
+        write(CSV_HEADER + "\n")
     for line in lines:
-        print(line)
+        write(line + "\n")
     return 0
 
 

@@ -83,9 +83,29 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-# Fixed Miller-Rabin witnesses, proven deterministic below this bound.
+# Fixed Miller-Rabin witnesses, proven deterministic below this bound:
+# psi_12, the least strong pseudoprime to all twelve (Sorenson and Webster,
+# Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PROVEN_BOUND = 318_665_857_834_031_151_167_461
+
+# (bound, bases): every n below bound is decided by the first k bases, where
+# bound is the least strong pseudoprime to them (OEIS A014233); a(8) = a(7)
+# and a(11) = a(10) = a(9), so those k gain nothing and are left out.
+_MR_TIERS = tuple(
+    (bound, _MR_BASES[:k])
+    for bound, k in (
+        (2_047, 1),
+        (1_373_653, 2),
+        (25_326_001, 3),
+        (3_215_031_751, 4),
+        (2_152_302_898_747, 5),
+        (3_474_749_660_383, 6),
+        (341_550_071_728_321, 7),
+        (3_825_123_056_546_413_051, 9),
+        (_MR_PROVEN_BOUND, 12),
+    )
+)
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -153,9 +173,10 @@ def _strong_lucas(n: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality with a fixed, reproducible witness policy.
 
-    Deterministic (proven) for n < 3.3e24 via the 12 smallest prime bases;
-    larger inputs must additionally pass a strong Lucas test.  No composite
-    is known to pass the combination.
+    Deterministic (proven) for n < 3.18e23 via the 12 smallest prime bases,
+    of which a smaller n needs only the first few; larger inputs must pass
+    all 12 and a strong Lucas test.  No composite is known to pass the
+    combination.
     """
     if n < 2:
         return False
@@ -164,10 +185,11 @@ def is_prime(n: int) -> bool:
             return n == p
     if n < 41 * 41:
         return True
+    for bound, bases in _MR_TIERS:
+        if n < bound:
+            return all(_miller_rabin(n, a) for a in bases)
     if not all(_miller_rabin(n, a) for a in _MR_BASES):
         return False
-    if n < _MR_PROVEN_BOUND:
-        return True
     if is_square(n):
         return False
     return _strong_lucas(n)
@@ -187,6 +209,7 @@ def primes_upto(n: int) -> list[int]:
 
 
 _TRIAL_LIMIT = 1_000
+_MAX_EFFORT = 1 << 24
 
 
 @functools.cache
@@ -234,7 +257,7 @@ def _brent_splitter(n: int, c: int, budget: list[int]) -> int | None:
     return g if g != n else None
 
 
-def factor(n: int, *, max_effort: int = 1 << 24) -> Factorization:
+def factor(n: int, *, max_effort: int = _MAX_EFFORT) -> Factorization:
     """Deterministic prime factorization of a nonzero integer.
 
     Trial division by the primes below 1000 strips the small factors.  A
@@ -251,15 +274,25 @@ def factor(n: int, *, max_effort: int = 1 << 24) -> Factorization:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = -1 if n < 0 else 1
-    m = abs(n)
     counts: dict[int, int] = {}
+    _factor_into(n, counts, 1, max_effort)
+    return Factorization(-1 if n < 0 else 1, tuple(sorted(counts.items())))
+
+
+def _factor_into(n: int, counts: dict[int, int], k: int, max_effort: int = _MAX_EFFORT) -> None:
+    # unchecked core of factor: n nonzero; adds k * v_p(n) to counts[p] for
+    # every prime p | n, so several numbers can share one count table
+    m = abs(n)
     for p in _trial_primes():
         if p * p > m:
             break
-        while m % p == 0:
+        if m % p == 0:
             m //= p
-            counts[p] = counts.get(p, 0) + 1
+            j = 1
+            while m % p == 0:
+                m //= p
+                j += 1
+            counts[p] = counts.get(p, 0) + j * k
     if m > 1:
         budget = [max_effort]
         stack = [m]
@@ -267,7 +300,7 @@ def factor(n: int, *, max_effort: int = 1 << 24) -> Factorization:
             v = stack.pop()
             if v <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
                 # anything this small surviving trial division is prime
-                counts[v] = counts.get(v, 0) + 1
+                counts[v] = counts.get(v, 0) + k
                 continue
             d = None
             for c in itertools.count(1):
@@ -281,7 +314,6 @@ def factor(n: int, *, max_effort: int = 1 << 24) -> Factorization:
                     break
             stack.append(d)
             stack.append(v // d)
-    return Factorization(sign, tuple(sorted(counts.items())))
 
 
 def radical(n: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .index_criterion import PrimeVerdict, _verdict
-from .intarith import Factorization, factor, is_squarefree, radical
+from .intarith import Factorization, _factor_into, is_squarefree, radical
 from .trinomial import Signature, Trinomial, _c4, _irreducible, _signature, is_c4
 
 __all__ = [
@@ -33,21 +33,19 @@ class DegenerateTrinomialError(ValueError):
 def factor_discriminant(t: Trinomial) -> Factorization:
     """Factor disc(t) = 16 * d * (b^2 - 4d)^2 by factoring the small pieces.
 
-    Never factors the discriminant itself: 2^4, the factors of d, and the
-    factors of b^2 - 4d (doubled) merge directly, keeping inputs to the
-    integer factorizer box-sized.
+    Never factors the discriminant itself: 2^4, the exponents of d, and
+    those of b^2 - 4d (doubled) go into one count table, keeping inputs to
+    the integer factorizer box-sized.  d is factored first, each piece on a
+    budget of its own.
     """
     d = t.d
     e = t.b * t.b - 4 * d
     if d == 0 or e == 0:
         raise ValueError(f"disc({t}) = 0 has no prime factorization")
     counts = {2: 4}
-    fd = factor(d)
-    for p, k in fd.factors:
-        counts[p] = counts.get(p, 0) + k
-    for p, k in factor(e).factors:
-        counts[p] = counts.get(p, 0) + 2 * k
-    return Factorization(fd.sign, tuple(sorted(counts.items())))
+    _factor_into(d, counts, 1)
+    _factor_into(e, counts, 2)
+    return Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,8 @@ __all__ = [
 
 CSV_HEADER = "b,d,irreducible,c4,disc,monogenic,r1,r2,failing_prime"
 
-# one compact encoder for every line; json.dumps with separators= builds a new one per call
+# the compact encoding every JSON line has; _json_line writes it directly and
+# uses this encoder only to escape error messages
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -113,10 +114,56 @@ def _bool_str(v: bool) -> str:
     return "true" if v else "false"
 
 
+def _json_opt(v: int | None) -> str:
+    return "null" if v is None else str(v)
+
+
+def _json_verdict(v: PrimeVerdict) -> str:
+    # the bytes of _JSON.encode(v.to_dict()), in its key order
+    out = (
+        f'{{"prime":{v.prime},"evaluated":{_bool_str(v.evaluated)},'
+        f'"divides_index":{_bool_str(v.divides_index)},"branch":{_json_opt(v.branch)}'
+    )
+    i = v.intermediates
+    if i is not None:
+        named = (
+            ("b1", i.b1), ("b2", i.b2), ("d1", i.d1), ("d2", i.d2), ("s", i.s),
+            ("disjunct", i.disjunct),
+        )
+        fields = ",".join(f'"{k}":{x}' for k, x in named if x is not None)
+        out += f',"intermediates":{{{fields}}}'
+    for name, poly in (("h1", v.h1), ("h2", v.h2), ("h_gcd", v.h_gcd)):
+        if poly is not None:
+            out += f',"{name}":[' + ",".join(map(str, poly)) + "]"
+    return out + "}"
+
+
+def _json_line(item: MonogenicityReport | SearchError) -> str:
+    """The bytes of ``_JSON.encode(item.to_dict())``, written directly."""
+    t = item.trinomial
+    if isinstance(item, SearchError):
+        return f'{{"trinomial":{{"b":{t.b},"d":{t.d}}},"error":{_JSON.encode(item.message)}}}'
+    f = item.disc_factored
+    fact = (
+        "null"
+        if f is None
+        else f'{{"sign":{f.sign},"factors":[' + ",".join(f"[{p},{e}]" for p, e in f.factors) + "]}"
+    )
+    g = item.signature
+    sig = "null" if g is None else f'{{"r1":{g.r1},"r2":{g.r2}}}'
+    return (
+        f'{{"trinomial":{{"b":{t.b},"d":{t.d}}},"irreducible":{_bool_str(item.irreducible)},'
+        f'"c4":{_bool_str(item.c4)},"disc":{item.disc},"disc_factored":{fact},'
+        f'"verdicts":[{",".join(map(_json_verdict, item.verdicts))}],'
+        f'"monogenic":{_bool_str(item.monogenic)},"field_disc":{_json_opt(item.field_disc)},'
+        f'"signature":{sig}}}'
+    )
+
+
 def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
     """One output line for an item, or None when the format cannot carry it."""
     if fmt == "json":
-        return _JSON.encode(item.to_dict())
+        return _json_line(item)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     if isinstance(item, SearchError):

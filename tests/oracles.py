@@ -3,9 +3,12 @@
 Everything here is written for obviousness, not speed: dense list
 polynomials, Fraction linear algebra, exhaustive enumeration.  None of it
 imports from c4quartic, so agreement between package and oracle is evidence
-rather than tautology.  The one exception is ``is_monogenic_reference``,
-which assembles a report from the package's validating public entry points
-alone, as the slow reference for the single pass inside ``is_monogenic``.
+rather than tautology.  The two exceptions are built from the package's
+validating public entry points alone: ``is_monogenic_reference``, the slow
+reference for the single pass inside ``is_monogenic``, and
+``factor_discriminant_reference``, which factors d and b^2 - 4d apart with
+the public ``factor`` and merges them, the reference for the one count
+table inside ``factor_discriminant``.
 """
 
 from __future__ import annotations
@@ -375,28 +378,46 @@ def scan_c4_bruteforce(b_min, b_max, d_min, d_max):
 # multi-pass monogenicity report, built from the public validating functions
 
 
+def factor_discriminant_reference(t, *, max_effort=1 << 24):
+    """disc(t) = 16 * d * e^2 factored as two public ``factor`` calls, merged.
+
+    ``factor(d)`` runs before ``factor(e)``, each on its own budget, so a
+    give-up names the same number with the same message as the package.
+    """
+    from c4quartic.intarith import Factorization, factor
+
+    d = t.d
+    e = t.b * t.b - 4 * d
+    if d == 0 or e == 0:
+        raise ValueError(f"disc({t}) = 0 has no prime factorization")
+    counts = {2: 4}
+    fd = factor(d, max_effort=max_effort)
+    for p, k in fd.factors:
+        counts[p] = counts.get(p, 0) + k
+    for p, k in factor(e, max_effort=max_effort).factors:
+        counts[p] = counts.get(p, 0) + 2 * k
+    return Factorization(fd.sign, tuple(sorted(counts.items())))
+
+
 def is_monogenic_reference(t):
     """The monogenicity report built from public, validating functions only.
 
-    Every invariant is recomputed by its public function, and every prime
-    goes through the fully checked ``prime_index_test``.
+    Every invariant is recomputed by its public function, the discriminant is
+    factored by ``factor_discriminant_reference``, and every prime goes
+    through the fully checked ``prime_index_test``.
     """
     from c4quartic.index_criterion import PrimeVerdict, prime_index_test
-    from c4quartic.monogenic import (
-        DegenerateTrinomialError,
-        MonogenicityReport,
-        factor_discriminant,
-    )
+    from c4quartic.monogenic import DegenerateTrinomialError, MonogenicityReport
     from c4quartic.trinomial import discriminant, is_c4, is_irreducible, signature
 
     if t.d == 0:
         raise DegenerateTrinomialError(f"{t} has d = 0; its root generates no quartic order")
     disc = discriminant(t)
     if not is_irreducible(t):
-        fact = None if disc == 0 else factor_discriminant(t)
+        fact = None if disc == 0 else factor_discriminant_reference(t)
         return MonogenicityReport(t, False, False, disc, fact, (), False, None, None)
 
-    fact = factor_discriminant(t)
+    fact = factor_discriminant_reference(t)
     verdicts = []
     blocked = False
     for q in fact.primes():

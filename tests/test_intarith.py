@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from c4quartic.intarith import (
     _MR_BASES,
     _MR_PROVEN_BOUND,
+    _MR_TIERS,
     Factorization,
     FactorizationIncomplete,
+    _factor_into,
     _miller_rabin,
     factor,
     is_prime,
@@ -85,19 +87,67 @@ class TestIsPrime:
         by_trial = all(n % k for k in range(2, math.isqrt(n) + 1))
         assert is_prime(n) == by_trial
 
-    # psi_12, the least strong pseudoprime to all twelve bases, is the bound
-    # past which the strong Lucas test decides
-    PSI_12 = 3317044064679887385961981
+    # psi_12 and psi_13, the least strong pseudoprimes to the first twelve and
+    # thirteen prime bases (Sorenson and Webster, Math. Comp. 86 (2017));
+    # past psi_12 the strong Lucas test decides
+    PSI_12 = 318665857834031151167461
+    PSI_13 = 3317044064679887385961981
+
+    # OEIS A014233: a(k), the least strong pseudoprime to the first k prime bases
+    A014233 = {
+        1: 2047,
+        2: 1373653,
+        3: 25326001,
+        4: 3215031751,
+        5: 2152302898747,
+        6: 3474749660383,
+        7: 341550071728321,
+        8: 341550071728321,
+        9: 3825123056546413051,
+        10: 3825123056546413051,
+        11: 3825123056546413051,
+        12: PSI_12,
+        13: PSI_13,
+    }
 
     def test_psi_12_needs_the_lucas_test(self):
-        assert self.PSI_12 == 1287836182261 * 2575672364521 == _MR_PROVEN_BOUND
+        assert self.PSI_12 == 399165290221 * 798330580441 == _MR_PROVEN_BOUND
         assert all(_miller_rabin(self.PSI_12, a) for a in _MR_BASES)
         assert not is_prime(self.PSI_12)
+        assert factor(self.PSI_12).factors == ((399165290221, 1), (798330580441, 1))
+
+    def test_psi_13_needs_the_lucas_test(self):
+        assert self.PSI_13 == 1287836182261 * 2575672364521
+        assert all(_miller_rabin(self.PSI_13, a) for a in _MR_BASES)
+        assert not is_prime(self.PSI_13)
+
+    def test_tiers_follow_a014233(self):
+        bounds = [bound for bound, _ in _MR_TIERS]
+        assert bounds == sorted(set(bounds)) and bounds[-1] == _MR_PROVEN_BOUND
+        for bound, bases in _MR_TIERS:
+            k = len(bases)
+            assert bases == _MR_BASES[:k] and self.A014233[k] == bound
+
+    @pytest.mark.parametrize("k", range(1, 14))
+    def test_each_a014233_entry_passes_its_bases_and_is_rejected(self, k):
+        n = self.A014233[k]
+        assert all(_miller_rabin(n, a) for a in _MR_BASES[:k])
+        assert not is_prime(n)
+
+    def test_matches_sympy_in_every_tier(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        lows = [41 * 41] + [bound for bound, _ in _MR_TIERS]
+        for lo, hi in zip(lows, lows[1:]):
+            odd = [rng.randrange(lo, hi) | 1 for _ in range(300)]
+            primes = [sympy.prevprime(rng.randrange(lo, hi) + 1) for _ in range(30)]
+            for n in odd + primes + [lo, hi - 1, hi - 2]:
+                assert is_prime(n) == sympy.isprime(n), n
 
     @pytest.mark.parametrize(
         "p",
         [
-            3317044064679887385962123,  # the first prime past psi_12
+            3317044064679887385962123,  # the first prime past psi_13
             10**25 + 13,
             1237940039285380274899124357,  # the first prime past 2^90
         ],
@@ -110,10 +160,11 @@ class TestIsPrime:
     def test_matches_sympy_past_the_proven_bound(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(12)
-        odd = [rng.randrange(self.PSI_12, 2**100) | 1 for _ in range(3000)]
-        primes = [sympy.nextprime(rng.randrange(self.PSI_12, 2**100)) for _ in range(200)]
-        for n in odd + primes:
-            assert is_prime(n) == sympy.isprime(n), n
+        for lo in (self.PSI_12, self.PSI_13):
+            odd = [rng.randrange(lo, 2**100) | 1 for _ in range(3000)]
+            primes = [sympy.nextprime(rng.randrange(lo, 2**100)) for _ in range(200)]
+            for n in odd + primes:
+                assert is_prime(n) == sympy.isprime(n), n
 
 
 class TestPrimesUpto:
@@ -183,6 +234,34 @@ class TestFactor:
         with pytest.raises(FactorizationIncomplete) as info:
             factor(n, max_effort=100)
         assert info.value.n == n
+
+    # the two primes after 2^40: past trial division and the 10^12 bound, so the
+    # splitter needs about 2^20 steps
+    SEMIPRIME = 1099511627791 * 1099511627803
+
+    def test_budget_message_matches_the_core(self):
+        n = -self.SEMIPRIME
+        with pytest.raises(FactorizationIncomplete) as public:
+            factor(n, max_effort=1000)
+        with pytest.raises(FactorizationIncomplete) as core:
+            _factor_into(n, {2: 4}, 2, 1000)
+        assert str(core.value) == str(public.value)
+        assert core.value.n == public.value.n == n
+        assert str(public.value) == (
+            f"factorization of {n} exceeded effort budget at cofactor {self.SEMIPRIME}"
+        )
+
+    @given(
+        st.integers(min_value=-10**12, max_value=10**12).filter(lambda n: n != 0),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_core_adds_k_times_the_exponents(self, n, k):
+        counts = {2: 4, 3: 1}
+        _factor_into(n, counts, k)
+        want = {2: 4, 3: 1}
+        for p, e in factor(n).factors:
+            want[p] = want.get(p, 0) + k * e
+        assert counts == want
 
     def test_str(self):
         assert str(factor(2000)) == "2^4 * 5^3"

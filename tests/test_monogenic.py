@@ -3,7 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c4quartic.intarith import Factorization
+from c4quartic import monogenic
+from c4quartic.intarith import Factorization, FactorizationIncomplete, _factor_into
 from c4quartic.monogenic import (
     DegenerateTrinomialError,
     factor_discriminant,
@@ -11,7 +12,7 @@ from c4quartic.monogenic import (
     structural_constraints,
 )
 from c4quartic.trinomial import Signature, Trinomial, discriminant, is_irreducible
-from oracles import is_monogenic_reference, monogenic_closed_form
+from oracles import factor_discriminant_reference, is_monogenic_reference, monogenic_closed_form
 
 coeffs = st.integers(min_value=-150, max_value=150)
 
@@ -47,6 +48,46 @@ class TestFactorDiscriminant:
         if d == 0 or b * b == 4 * d:
             return
         assert factor_discriminant(t).value() == discriminant(t)
+
+    def test_matches_reference_on_a_grid(self):
+        cells = [(b, d) for b in range(-60, 61) for d in range(-60, 61)]
+        cells += [(b, d) for b in range(10**5, 10**5 + 20) for d in range(10**9, 10**9 + 20)]
+        for b, d in cells:
+            if d == 0 or b * b == 4 * d:
+                continue
+            t = Trinomial(b, d)
+            assert factor_discriminant(t) == factor_discriminant_reference(t), (b, d)
+
+    @given(
+        st.integers(min_value=-10**12, max_value=10**12),
+        st.integers(min_value=-10**12, max_value=10**12),
+    )
+    def test_matches_reference_near_10_to_the_12(self, b, d):
+        if d == 0 or b * b == 4 * d:
+            return
+        t = Trinomial(b, d)
+        assert factor_discriminant(t) == factor_discriminant_reference(t)
+
+    # a budget of 1000 steps splits neither d, the product of the two primes
+    # after 2^40, nor e = (2^40 + 1)^2 - 4*33 = 20766489347 * 58215223546751
+    @pytest.mark.parametrize(
+        "b, d, named",
+        [
+            (2**40 + 1, 1099511627791 * 1099511627803, "d"),
+            (2**40 + 1, 33, "e"),
+        ],
+    )
+    def test_give_up_names_d_first(self, monkeypatch, b, d, named):
+        monkeypatch.setattr(
+            monogenic, "_factor_into", lambda n, counts, k: _factor_into(n, counts, k, 1000)
+        )
+        t = Trinomial(b, d)
+        with pytest.raises(FactorizationIncomplete) as got:
+            factor_discriminant(t)
+        with pytest.raises(FactorizationIncomplete) as want:
+            factor_discriminant_reference(t, max_effort=1000)
+        assert str(got.value) == str(want.value)
+        assert got.value.n == want.value.n == (d if named == "d" else b * b - 4 * d)
 
 
 class TestIsMonogenic:

@@ -4,12 +4,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import c4quartic
-from c4quartic import search
+from c4quartic import monogenic, search
 from c4quartic.cli import main
+from c4quartic.intarith import FactorizationIncomplete, _factor_into
 from c4quartic.monogenic import MonogenicityReport, is_monogenic
 from c4quartic.search import (
+    _JSON,
     CSV_HEADER,
     SearchError,
     format_item,
@@ -19,6 +22,7 @@ from c4quartic.search import (
     verify_theorem,
 )
 from c4quartic.trinomial import Trinomial
+from oracles import factor_discriminant_reference
 
 
 class TestIterBox:
@@ -77,6 +81,53 @@ class TestFormatting:
         parsed = json.loads(format_item(err, "json"))
         assert parsed == {"trinomial": {"b": 1, "d": 0}, "error": "degenerate"}
         assert format_item(err, "json") == json.dumps(err.to_dict(), separators=(",", ":"))
+
+    def test_json_writer_matches_the_encoder_on_every_small_cell(self):
+        seen = set()
+        for item in iter_box(-30, 30, -30, 30):
+            assert format_item(item, "json") == _JSON.encode(item.to_dict()), item.trinomial
+            if isinstance(item, SearchError):
+                seen.add("error")
+                continue
+            if item.disc_factored is None:
+                seen.add("disc 0")
+            if not item.irreducible:
+                seen.add("reducible")
+            for v in item.verdicts:
+                seen.add(("branch", v.branch))
+                if v.branch == 2:
+                    seen.add(("disjunct", v.intermediates.disjunct))
+                if v.branch == 4:
+                    seen.add(("h_gcd", len(v.h_gcd) > 1))
+        assert seen >= {"error", "disc 0", "reducible"}
+        assert seen >= {("branch", k) for k in (1, 2, 3, 4, 5, None)}
+        assert seen >= {("disjunct", 1), ("disjunct", 2), ("disjunct", None)}
+        assert seen >= {("h_gcd", False), ("h_gcd", True)}
+
+    @given(
+        st.integers(min_value=-10**12, max_value=10**12),
+        st.integers(min_value=-10**12, max_value=10**12),
+    )
+    def test_json_writer_matches_the_encoder_near_10_to_the_12(self, b, d):
+        [item] = iter_box(b, b, d, d)
+        assert format_item(item, "json") == _JSON.encode(item.to_dict())
+
+    def test_json_writer_on_a_give_up(self, monkeypatch):
+        monkeypatch.setattr(
+            monogenic, "_factor_into", lambda n, counts, k: _factor_into(n, counts, k, 1000)
+        )
+        t = Trinomial(2**40 + 1, 33)
+        [item] = iter_box(t.b, t.b, t.d, t.d)
+        with pytest.raises(FactorizationIncomplete) as want:
+            factor_discriminant_reference(t, max_effort=1000)
+        assert item == SearchError(t, str(want.value))
+        assert format_item(item, "json") == _JSON.encode(item.to_dict())
+
+    def test_json_writer_escapes_messages_like_the_encoder(self):
+        err = SearchError(Trinomial(-7, 0), 'quote " backslash \\ tab \t é ∑ 𝔽 \x7f')
+        line = format_item(err, "json")
+        assert line == _JSON.encode(err.to_dict())
+        assert line.isascii() and json.loads(line)["error"] == err.message
 
     def test_csv_rows(self):
         assert format_item(is_monogenic(Trinomial(-5, 5)), "csv") == (
@@ -399,6 +450,21 @@ class TestCli:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_search_writes_each_line_once(self, capsys, fmt):
+        rc = main(
+            [
+                "search",
+                "--b-min", "-6", "--b-max", "6",
+                "--d-min", "-6", "--d-max", "6",
+                "--format", fmt,
+            ]
+        )
+        header = CSV_HEADER + "\n" if fmt == "csv" else ""
+        lines = search_lines(-6, 6, -6, 6, fmt=fmt)
+        assert rc == 0
+        assert capsys.readouterr().out == header + "".join(line + "\n" for line in lines)
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
