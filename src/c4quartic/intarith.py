@@ -257,7 +257,7 @@ def _brent_splitter(n: int, c: int, budget: list[int]) -> int | None:
     return g if g != n else None
 
 
-def factor(n: int, *, max_effort: int = _MAX_EFFORT) -> Factorization:
+def factor(n: int, *, max_effort: int | None = None) -> Factorization:
     """Deterministic prime factorization of a nonzero integer.
 
     Trial division by the primes below 1000 strips the small factors.  A
@@ -266,7 +266,8 @@ def factor(n: int, *, max_effort: int = _MAX_EFFORT) -> Factorization:
     increment schedule.  A composite cofactor below 10^12 has a prime
     factor below 10^6, which the splitter finds in about a thousand steps,
     far fewer than trial division would take.  ``max_effort`` caps the
-    splitter's total step count across all attempts; exceeding it raises
+    splitter's total step count across all attempts (by default
+    ``_MAX_EFFORT``, read at each call); exceeding it raises
     FactorizationIncomplete.
 
     >>> str(factor(2000))
@@ -279,7 +280,7 @@ def factor(n: int, *, max_effort: int = _MAX_EFFORT) -> Factorization:
     return Factorization(-1 if n < 0 else 1, tuple(sorted(counts.items())))
 
 
-def _factor_into(n: int, counts: dict[int, int], k: int, max_effort: int = _MAX_EFFORT) -> None:
+def _factor_into(n: int, counts: dict[int, int], k: int, max_effort: int | None = None) -> None:
     # unchecked core of factor: n nonzero; adds k * v_p(n) to counts[p] for
     # every prime p | n, so several numbers can share one count table
     m = abs(n)
@@ -294,26 +295,35 @@ def _factor_into(n: int, counts: dict[int, int], k: int, max_effort: int = _MAX_
                 j += 1
             counts[p] = counts.get(p, 0) + j * k
     if m > 1:
-        budget = [max_effort]
-        stack = [m]
-        while stack:
-            v = stack.pop()
-            if v <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
-                # anything this small surviving trial division is prime
-                counts[v] = counts.get(v, 0) + k
-                continue
-            d = None
-            for c in itertools.count(1):
-                try:
-                    d = _brent_splitter(v, c, budget)
-                except _BudgetExhausted:
-                    raise FactorizationIncomplete(
-                        n, f"factorization of {n} exceeded effort budget at cofactor {v}"
-                    ) from None
-                if d is not None:
-                    break
-            stack.append(d)
-            stack.append(v // d)
+        _factor_tail(n, m, counts, k, max_effort)
+
+
+def _factor_tail(
+    n: int, m: int, counts: dict[int, int], k: int, max_effort: int | None = None
+) -> None:
+    # unchecked tail of factor: m > 1 divides n and is prime or free of the
+    # primes below 1000; adds k * v_p(m) to counts[p] for every prime p | m.
+    # The budget is fresh for each call: one per number factored.
+    budget = [_MAX_EFFORT if max_effort is None else max_effort]
+    stack = [m]
+    while stack:
+        v = stack.pop()
+        if v <= _TRIAL_LIMIT * _TRIAL_LIMIT or is_prime(v):
+            # below 1000^2, a number free of the primes below 1000 is prime
+            counts[v] = counts.get(v, 0) + k
+            continue
+        d = None
+        for c in itertools.count(1):
+            try:
+                d = _brent_splitter(v, c, budget)
+            except _BudgetExhausted:
+                raise FactorizationIncomplete(
+                    n, f"factorization of {n} exceeded effort budget at cofactor {v}"
+                ) from None
+            if d is not None:
+                break
+        stack.append(d)
+        stack.append(v // d)
 
 
 def radical(n: int) -> int:

@@ -25,7 +25,13 @@ from .fields import distinct_fields
 from .index_criterion import PrimeVerdict, _verdict
 from .dedekind import _divides_index
 from .intarith import FactorizationIncomplete, primes_upto
-from .monogenic import DegenerateTrinomialError, MonogenicityReport, is_monogenic
+from .monogenic import (
+    DegenerateTrinomialError,
+    MonogenicityReport,
+    _BoxFactorizer,
+    _report,
+    is_monogenic,
+)
 from .scan import _check_box, scan_c4_candidates
 from .trinomial import Trinomial, discriminant, is_irreducible
 
@@ -96,11 +102,10 @@ def _items(
 ) -> Iterator[MonogenicityReport | SearchError]:
     # unchecked body of iter_box: the box is non-empty
     if c4_only:
-        cells: Iterator[tuple[int, int]] = iter(scan_c4_candidates(b_min, b_max, d_min, d_max))
+        items = (_cell_report(b, d) for b, d in scan_c4_candidates(b_min, b_max, d_min, d_max))
     else:
-        cells = ((b, d) for b in range(b_min, b_max + 1) for d in range(d_min, d_max + 1))
-    for b, d in cells:
-        item = _cell_report(b, d)
+        items = _dense_items(b_min, b_max, d_min, d_max)
+    for item in items:
         if (
             monogenic_only
             and isinstance(item, MonogenicityReport)
@@ -108,6 +113,24 @@ def _items(
         ):
             continue
         yield item
+
+
+def _dense_items(
+    b_min: int, b_max: int, d_min: int, d_max: int
+) -> Iterator[MonogenicityReport | SearchError]:
+    # every cell, row by row, factored by one box factorizer for this walk;
+    # the sparse c4 walk stays per cell, where a sieve would cost more than
+    # the few cells it serves
+    box = _BoxFactorizer(d_min, d_max)
+    for b in range(b_min, b_max + 1):
+        for d, fact in zip(range(d_min, d_max + 1), box.row(b)):
+            if fact is None:
+                # d = 0 or e = 0: the per-cell route factors nothing here
+                yield _cell_report(b, d)
+            elif isinstance(fact, FactorizationIncomplete):
+                yield SearchError(Trinomial(b, d), str(fact))
+            else:
+                yield _report(Trinomial(b, d), fact)
 
 
 def _bool_str(v: bool) -> str:

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from c4quartic import intarith
 from c4quartic.intarith import (
     _MR_BASES,
     _MR_PROVEN_BOUND,
@@ -250,6 +251,16 @@ class TestFactor:
         assert str(public.value) == (
             f"factorization of {n} exceeded effort budget at cofactor {self.SEMIPRIME}"
         )
+
+    def test_default_budget_is_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
+        with pytest.raises(FactorizationIncomplete) as patched:
+            factor(self.SEMIPRIME)
+        with pytest.raises(FactorizationIncomplete) as explicit:
+            factor(self.SEMIPRIME, max_effort=1000)
+        assert str(patched.value) == str(explicit.value)
+        monkeypatch.undo()
+        assert factor(self.SEMIPRIME).factors == ((1099511627791, 1), (1099511627803, 1))
 
     @given(
         st.integers(min_value=-10**12, max_value=10**12).filter(lambda n: n != 0),

@@ -3,8 +3,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c4quartic import monogenic
-from c4quartic.intarith import Factorization, FactorizationIncomplete, _factor_into
+from c4quartic import intarith
+from c4quartic.intarith import Factorization, FactorizationIncomplete
 from c4quartic.monogenic import (
     DegenerateTrinomialError,
     factor_discriminant,
@@ -78,9 +78,7 @@ class TestFactorDiscriminant:
         ],
     )
     def test_give_up_names_d_first(self, monkeypatch, b, d, named):
-        monkeypatch.setattr(
-            monogenic, "_factor_into", lambda n, counts, k: _factor_into(n, counts, k, 1000)
-        )
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
         t = Trinomial(b, d)
         with pytest.raises(FactorizationIncomplete) as got:
             factor_discriminant(t)

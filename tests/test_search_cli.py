@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import c4quartic
-from c4quartic import monogenic, search
+from c4quartic import intarith, search
 from c4quartic.cli import main
-from c4quartic.intarith import FactorizationIncomplete, _factor_into
+from c4quartic.intarith import FactorizationIncomplete
 from c4quartic.monogenic import MonogenicityReport, is_monogenic
 from c4quartic.search import (
     _JSON,
@@ -113,9 +113,7 @@ class TestFormatting:
         assert format_item(item, "json") == _JSON.encode(item.to_dict())
 
     def test_json_writer_on_a_give_up(self, monkeypatch):
-        monkeypatch.setattr(
-            monogenic, "_factor_into", lambda n, counts, k: _factor_into(n, counts, k, 1000)
-        )
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
         t = Trinomial(2**40 + 1, 33)
         [item] = iter_box(t.b, t.b, t.d, t.d)
         with pytest.raises(FactorizationIncomplete) as want:
