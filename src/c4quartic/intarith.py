@@ -257,7 +257,7 @@ def _brent_splitter(n: int, c: int, budget: list[int]) -> int | None:
     return g if g != n else None
 
 
-def factor(n: int, *, max_effort: int | None = None) -> Factorization:
+def factor(n: int) -> Factorization:
     """Deterministic prime factorization of a nonzero integer.
 
     Trial division by the primes below 1000 strips the small factors.  A
@@ -265,10 +265,9 @@ def factor(n: int, *, max_effort: int | None = None) -> Factorization:
     ``is_prime``; otherwise it goes to a Brent splitter with a fixed
     increment schedule.  A composite cofactor below 10^12 has a prime
     factor below 10^6, which the splitter finds in about a thousand steps,
-    far fewer than trial division would take.  ``max_effort`` caps the
-    splitter's total step count across all attempts (by default
-    ``_MAX_EFFORT``, read at each call); exceeding it raises
-    FactorizationIncomplete.
+    far fewer than trial division would take.  ``_MAX_EFFORT``, read at
+    each call, caps the splitter's total step count across all attempts;
+    exceeding it raises FactorizationIncomplete.
 
     >>> str(factor(2000))
     '2^4 * 5^3'
@@ -276,11 +275,11 @@ def factor(n: int, *, max_effort: int | None = None) -> Factorization:
     if n == 0:
         raise ValueError("cannot factor 0")
     counts: dict[int, int] = {}
-    _factor_into(n, counts, 1, max_effort)
+    _factor_into(n, counts, 1)
     return Factorization(-1 if n < 0 else 1, tuple(sorted(counts.items())))
 
 
-def _factor_into(n: int, counts: dict[int, int], k: int, max_effort: int | None = None) -> None:
+def _factor_into(n: int, counts: dict[int, int], k: int) -> None:
     # unchecked core of factor: n nonzero; adds k * v_p(n) to counts[p] for
     # every prime p | n, so several numbers can share one count table
     m = abs(n)
@@ -295,16 +294,14 @@ def _factor_into(n: int, counts: dict[int, int], k: int, max_effort: int | None 
                 j += 1
             counts[p] = counts.get(p, 0) + j * k
     if m > 1:
-        _factor_tail(n, m, counts, k, max_effort)
+        _factor_tail(n, m, counts, k)
 
 
-def _factor_tail(
-    n: int, m: int, counts: dict[int, int], k: int, max_effort: int | None = None
-) -> None:
+def _factor_tail(n: int, m: int, counts: dict[int, int], k: int) -> None:
     # unchecked tail of factor: m > 1 divides n and is prime or free of the
     # primes below 1000; adds k * v_p(m) to counts[p] for every prime p | m.
     # The budget is fresh for each call: one per number factored.
-    budget = [_MAX_EFFORT if max_effort is None else max_effort]
+    budget = [_MAX_EFFORT]
     stack = [m]
     while stack:
         v = stack.pop()
@@ -324,6 +321,52 @@ def _factor_tail(
                 break
         stack.append(d)
         stack.append(v // d)
+
+
+@functools.cache
+def _sieve_primes() -> tuple[tuple[int, int], ...]:
+    # (p, 4^-1 mod p) for the odd trial primes: p | a - 4i iff i = a/4 mod p
+    return tuple((p, pow(4, -1, p)) for p in _trial_primes()[1:])
+
+
+def _sieve_progression(a: int, n: int) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The small prime factors of a, a - 4, ..., a - 4(n - 1), by sieving.
+
+    Unchecked: n >= 1.  Returns (found, rest), one entry per term.  found[i]
+    is (2, v_2) first, then (p, v_p) for each odd prime p < 1000 with
+    p^2 <= max |term| that divides term i, p ascending; rest[i] is |term i|
+    with those prime powers divided out.  A zero term gets [(2, 0)] and
+    rest 1.
+
+    The 2-adic parts come off by bit operations.  An odd p divides exactly
+    the terms with i = a * 4^-1 mod p, so it is tried on those alone,
+    instead of every term trying every prime.  A rest above 1 is prime or
+    free of the primes below 1000: a prime q < 1000 left in it has
+    q^2 > max |term| >= rest, so it is all of rest.  ``_factor_tail`` takes
+    such a rest as it is.
+    """
+    rest: list[int] = []
+    found: list[list[tuple[int, int]]] = []
+    for term in range(a, a - 4 * n, -4):
+        m = abs(term) or 1
+        v = (m & -m).bit_length() - 1
+        rest.append(m >> v)
+        found.append([(2, v)])
+    bound = math.isqrt(max(abs(a), abs(a - 4 * (n - 1))))
+    for p, inv4 in _sieve_primes():
+        if p > bound:
+            break
+        for i in range(a * inv4 % p, n, p):
+            m = rest[i]
+            if m % p == 0:
+                m //= p
+                j = 1
+                while m % p == 0:
+                    m //= p
+                    j += 1
+                found[i].append((p, j))
+                rest[i] = m
+    return found, rest
 
 
 def radical(n: int) -> int:

@@ -10,22 +10,11 @@ dictionary form for serialization.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .index_criterion import PrimeVerdict, _verdict
-from .intarith import (
-    Factorization,
-    FactorizationIncomplete,
-    _factor_into,
-    _factor_tail,
-    _trial_primes,
-    factor,
-    isqrt,
-    radical,
-)
+from .intarith import Factorization, _factor_into, factor, radical
 from .trinomial import Signature, Trinomial, _c4, _irreducible, _signature, is_c4
 
 __all__ = [
@@ -58,108 +47,6 @@ def factor_discriminant(t: Trinomial) -> Factorization:
     _factor_into(d, counts, 1)
     _factor_into(e, counts, 2)
     return Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
-
-
-# cells per sieve segment along a row: a segment is sieved before its first
-# cell is handed out, so it bounds the work done ahead of the first line
-_SEGMENT = 64
-
-
-@functools.cache
-def _sieve_primes() -> tuple[tuple[int, int], ...]:
-    # (p, 4^-1 mod p) for the odd trial primes: p | b^2 - 4d iff d = b^2/4 mod p
-    return tuple((p, pow(4, -1, p)) for p in _trial_primes()[1:])
-
-
-class _BoxFactorizer:
-    """``factor_discriminant`` for every cell of one walk over a d-range.
-
-    Unchecked, and meant to live for one box walk.  Each d is factored once,
-    on first use, and kept (or its give-up kept) for every later row.  Along
-    a row, e = b^2 - 4d is factored segment by segment: the 2-adic part by
-    bit operations, then each odd prime p < 1000 with p^2 <= max |e| of the
-    segment divides out of exactly the cells with d = b^2/4 mod p.  What is
-    left of e is prime or free of the primes below 1000, and goes to the
-    factorizer's Brent tail, as in ``factor``.
-    """
-
-    def __init__(self, d_min: int, d_max: int):
-        self._d_min = d_min
-        self._d_max = d_max
-        # d -> {2: 4} plus the exponents of d, or the give-up factoring d raised
-        self._d: dict[int, dict[int, int] | FactorizationIncomplete] = {}
-
-    def _d_counts(self, d: int) -> dict[int, int] | FactorizationIncomplete:
-        got = self._d.get(d)
-        if got is None:
-            got = {2: 4}
-            try:
-                _factor_into(d, got, 1)
-            except FactorizationIncomplete as exc:
-                got = exc
-            self._d[d] = got
-        return got
-
-    def row(self, b: int) -> Iterator[Factorization | FactorizationIncomplete | None]:
-        """``factor_discriminant(Trinomial(b, d))`` for each d of the range, in order.
-
-        A cell gets None where d = 0 or e = 0 (there is nothing to factor),
-        and the ``FactorizationIncomplete`` that ``factor_discriminant``
-        would raise where the factorizer gives up.
-        """
-        bb = b * b
-        for lo in range(self._d_min, self._d_max + 1, _SEGMENT):
-            yield from self._segment(bb, lo, min(lo + _SEGMENT, self._d_max + 1))
-
-    def _segment(
-        self, bb: int, lo: int, hi: int
-    ) -> Iterator[Factorization | FactorizationIncomplete | None]:
-        # cells d in [lo, hi): only e's small primes are found before the
-        # first cell is handed out; d and the rest of e wait for their cell.
-        # rest[i] is what is left of |e| (1 where e = 0, which no p divides)
-        # and found[i] the (p, v_p(e)) divided out of it, 2 first
-        rest: list[int] = []
-        found: list[list[tuple[int, int]]] = []
-        for e in range(bb - 4 * lo, bb - 4 * hi, -4):
-            m = abs(e) or 1
-            v = (m & -m).bit_length() - 1
-            rest.append(m >> v)
-            found.append([(2, v)])
-        n = hi - lo
-        bound = isqrt(max(abs(bb - 4 * lo), abs(bb - 4 * (hi - 1))))
-        for p, inv4 in _sieve_primes():
-            if p > bound:
-                break
-            for i in range((bb * inv4 - lo) % p, n, p):
-                m = rest[i]
-                if m % p == 0:
-                    m //= p
-                    j = 1
-                    while m % p == 0:
-                        m //= p
-                        j += 1
-                    found[i].append((p, j))
-                    rest[i] = m
-        for i in range(n):
-            d = lo + i
-            e = bb - 4 * d
-            if d == 0 or e == 0:
-                yield None
-                continue
-            got = self._d_counts(d)
-            if not isinstance(got, dict):
-                yield got
-                continue
-            counts = dict(got)
-            for p, j in found[i]:
-                counts[p] = counts.get(p, 0) + 2 * j
-            if rest[i] > 1:
-                try:
-                    _factor_tail(e, rest[i], counts, 2)
-                except FactorizationIncomplete as exc:
-                    yield exc
-                    continue
-            yield Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,16 @@ from typing import Callable, Iterator
 from .fields import distinct_fields
 from .index_criterion import PrimeVerdict, _verdict
 from .dedekind import _divides_index
-from .intarith import FactorizationIncomplete, primes_upto
-from .monogenic import (
-    DegenerateTrinomialError,
-    MonogenicityReport,
-    _BoxFactorizer,
-    _report,
-    is_monogenic,
+from .intarith import (
+    Factorization,
+    FactorizationIncomplete,
+    _factor_into,
+    _factor_tail,
+    _sieve_progression,
+    primes_upto,
 )
+from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is_monogenic
+from ._scan_py import scan_c4
 from .scan import _check_box, scan_c4_candidates
 from .trinomial import Trinomial, discriminant, is_irreducible
 
@@ -102,7 +104,7 @@ def _items(
 ) -> Iterator[MonogenicityReport | SearchError]:
     # unchecked body of iter_box: the box is non-empty
     if c4_only:
-        items = (_cell_report(b, d) for b, d in scan_c4_candidates(b_min, b_max, d_min, d_max))
+        items = (_cell_report(b, d) for b, d in scan_c4(b_min, b_max, d_min, d_max))
     else:
         items = _dense_items(b_min, b_max, d_min, d_max)
     for item in items:
@@ -115,21 +117,55 @@ def _items(
         yield item
 
 
+# cells per sieve segment along a row: a segment is sieved before its first
+# cell is handed out, so it bounds the work done ahead of the first line
+_SEGMENT = 64
+
+
 def _dense_items(
     b_min: int, b_max: int, d_min: int, d_max: int
 ) -> Iterator[MonogenicityReport | SearchError]:
-    # every cell, row by row, factored by one box factorizer for this walk;
-    # the sparse c4 walk stays per cell, where a sieve would cost more than
-    # the few cells it serves
-    box = _BoxFactorizer(d_min, d_max)
+    # every cell, row by row, with factorizations shared across the walk.
+    # Each d is factored once, on first use, and kept (or its give-up kept)
+    # for every later row.  Along a row, e = b^2 - 4d steps down by 4 and is
+    # sieved segment by segment; d and the rest of e wait for their cell, and
+    # that rest goes to the factorizer's Brent tail, as in factor.  The
+    # sparse c4 walk stays per cell, where a sieve would cost more than the
+    # few cells it serves
+    d_counts: dict[int, dict[int, int] | FactorizationIncomplete] = {}
     for b in range(b_min, b_max + 1):
-        for d, fact in zip(range(d_min, d_max + 1), box.row(b)):
-            if fact is None:
-                # d = 0 or e = 0: the per-cell route factors nothing here
-                yield _cell_report(b, d)
-            elif isinstance(fact, FactorizationIncomplete):
-                yield SearchError(Trinomial(b, d), str(fact))
-            else:
+        bb = b * b
+        for lo in range(d_min, d_max + 1, _SEGMENT):
+            hi = min(lo + _SEGMENT, d_max + 1)
+            found, rest = _sieve_progression(bb - 4 * lo, hi - lo)
+            for i in range(hi - lo):
+                d = lo + i
+                e = bb - 4 * d
+                if d == 0 or e == 0:
+                    # the per-cell route factors nothing here
+                    yield _cell_report(b, d)
+                    continue
+                got = d_counts.get(d)
+                if got is None:
+                    got = {2: 4}
+                    try:
+                        _factor_into(d, got, 1)
+                    except FactorizationIncomplete as exc:
+                        got = exc
+                    d_counts[d] = got
+                if isinstance(got, FactorizationIncomplete):
+                    yield SearchError(Trinomial(b, d), str(got))
+                    continue
+                counts = dict(got)
+                for p, j in found[i]:
+                    counts[p] = counts.get(p, 0) + 2 * j
+                if rest[i] > 1:
+                    try:
+                        _factor_tail(e, rest[i], counts, 2)
+                    except FactorizationIncomplete as exc:
+                        yield SearchError(Trinomial(b, d), str(exc))
+                        continue
+                fact = Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
                 yield _report(Trinomial(b, d), fact)
 
 

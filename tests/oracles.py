@@ -378,11 +378,12 @@ def scan_c4_bruteforce(b_min, b_max, d_min, d_max):
 # multi-pass monogenicity report, built from the public validating functions
 
 
-def factor_discriminant_reference(t, *, max_effort=1 << 24):
+def factor_discriminant_reference(t):
     """disc(t) = 16 * d * e^2 factored as two public ``factor`` calls, merged.
 
-    ``factor(d)`` runs before ``factor(e)``, each on its own budget, so a
-    give-up names the same number with the same message as the package.
+    ``factor(d)`` runs before ``factor(e)``, each on its own budget (the
+    package's ``intarith._MAX_EFFORT``, which a test can patch), so a give-up
+    names the same number with the same message as the package.
     """
     from c4quartic.intarith import Factorization, factor
 
@@ -391,10 +392,10 @@ def factor_discriminant_reference(t, *, max_effort=1 << 24):
     if d == 0 or e == 0:
         raise ValueError(f"disc({t}) = 0 has no prime factorization")
     counts = {2: 4}
-    fd = factor(d, max_effort=max_effort)
+    fd = factor(d)
     for p, k in fd.factors:
         counts[p] = counts.get(p, 0) + k
-    for p, k in factor(e, max_effort=max_effort).factors:
+    for p, k in factor(e).factors:
         counts[p] = counts.get(p, 0) + 2 * k
     return Factorization(fd.sign, tuple(sorted(counts.items())))
 

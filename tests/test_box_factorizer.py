@@ -1,18 +1,27 @@
-"""The dense search's box factorizer against the per-cell route.
+"""The dense search walk against the per-cell route.
 
-``_BoxFactorizer`` factors each d of a walk once and sieves e = b^2 - 4d
-along each row in segments; ``factor_discriminant`` factors one cell by
-trial division and is the oracle here, cell by cell.  Give-ups are checked
-against the package-independent ``factor_discriminant_reference``.
+Without ``c4_only``, ``iter_box`` runs ``search._dense_items``: it factors
+each d of a walk once and sieves e = b^2 - 4d along each row in segments
+(``intarith._sieve_progression``).  ``_cell_report`` classifies one cell
+through ``is_monogenic``, which factors d and e by trial division
+(``factor_discriminant``), and is the oracle here, cell by cell: equal
+reports carry equal factorizations.  Give-ups are checked against the
+package-independent ``factor_discriminant_reference``.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c4quartic import intarith, monogenic
+from c4quartic import intarith, search
 from c4quartic.intarith import FactorizationIncomplete
-from c4quartic.monogenic import _SEGMENT, _BoxFactorizer, factor_discriminant
-from c4quartic.search import _cell_report, format_item, iter_box, search_lines
+from c4quartic.search import (
+    _SEGMENT,
+    SearchError,
+    _cell_report,
+    format_item,
+    iter_box,
+    search_lines,
+)
 from c4quartic.trinomial import Trinomial
 from oracles import factor_discriminant_reference
 
@@ -21,31 +30,27 @@ from oracles import factor_discriminant_reference
 SEMIPRIME = 1099511627791 * 1099511627803
 
 
-def per_cell(b, d):
-    """What the box factorizer must yield for one cell, by the per-cell route."""
-    if d == 0 or b * b == 4 * d:
-        return None
-    try:
-        return factor_discriminant(Trinomial(b, d))
-    except FactorizationIncomplete as exc:
-        return exc
-
-
-def same(got, want):
-    if isinstance(want, FactorizationIncomplete):
-        return type(got) is FactorizationIncomplete and (got.n, str(got)) == (want.n, str(want))
-    return got == want
-
-
 def check_box(b_min, b_max, d_min, d_max):
-    box = _BoxFactorizer(d_min, d_max)
-    for b in range(b_min, b_max + 1):
-        got = list(box.row(b))
-        if len(got) != d_max - d_min + 1:
-            raise AssertionError(f"row {b}: {len(got)} cells")
-        for d, fact in zip(range(d_min, d_max + 1), got):
-            if not same(fact, per_cell(b, d)):
-                raise AssertionError(f"cell ({b}, {d}): {fact!r} != {per_cell(b, d)!r}")
+    cells = [(b, d) for b in range(b_min, b_max + 1) for d in range(d_min, d_max + 1)]
+    got = list(iter_box(b_min, b_max, d_min, d_max))
+    if len(got) != len(cells):
+        raise AssertionError(f"{len(got)} items for {len(cells)} cells")
+    for (b, d), item in zip(cells, got):
+        want = _cell_report(b, d)
+        if item != want:
+            raise AssertionError(f"cell ({b}, {d}): {item!r} != {want!r}")
+
+
+def count_factor_into(monkeypatch):
+    """The list of every number the dense walk hands to ``_factor_into``."""
+    calls = []
+
+    def counting(n, counts, k):
+        calls.append(n)
+        intarith._factor_into(n, counts, k)
+
+    monkeypatch.setattr(search, "_factor_into", counting)
+    return calls
 
 
 class TestAgainstFactorDiscriminant:
@@ -105,13 +110,7 @@ class TestWalk:
         assert got == want
 
     def test_no_factorization_outlives_a_walk(self, monkeypatch):
-        calls = []
-
-        def counting(n, counts, k, max_effort=None):
-            calls.append(n)
-            intarith._factor_into(n, counts, k, max_effort)
-
-        monkeypatch.setattr(monogenic, "_factor_into", counting)
+        calls = count_factor_into(monkeypatch)
         for _ in range(2):
             calls.clear()
             list(iter_box(-6, 6, -5, 9))
@@ -122,8 +121,11 @@ class TestWalk:
 class TestGiveUps:
     def test_a_d_give_up_repeats_on_every_row_of_its_column(self, monkeypatch):
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
+        calls = count_factor_into(monkeypatch)
         rows = range(2**40 + 1, 2**40 + 4)
         items = list(iter_box(rows[0], rows[-1], SEMIPRIME - 2, SEMIPRIME + 2))
+        # the give-up is kept for the later rows, not found again on each
+        assert calls.count(SEMIPRIME) == 1
         # every cell as the per-cell route gives it, under the same budget
         cells = [(b, d) for b in rows for d in range(SEMIPRIME - 2, SEMIPRIME + 3)]
         assert items == [_cell_report(b, d) for b, d in cells]
@@ -131,7 +133,7 @@ class TestGiveUps:
         assert [item.trinomial.b for item in column] == list(rows)
         for item in column:
             with pytest.raises(FactorizationIncomplete) as want:
-                factor_discriminant_reference(item.trinomial, max_effort=1000)
+                factor_discriminant_reference(item.trinomial)
             assert want.value.n == SEMIPRIME
             assert item.message == str(want.value)
         assert len({item.message for item in column}) == 1
@@ -140,13 +142,14 @@ class TestGiveUps:
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
         # e = (2^40 + 1)^2 - 4*33 = 20766489347 * 58215223546751
         b = 2**40 + 1
-        box = _BoxFactorizer(30, 36)
-        facts = dict(zip(range(30, 37), box.row(b)))
-        got = facts[33]
-        assert isinstance(got, FactorizationIncomplete)
+        e = b * b - 4 * 33
+        items = dict(zip(range(30, 37), iter_box(b, b, 30, 36)))
+        got = items[33]
+        assert isinstance(got, SearchError) and got.trinomial == Trinomial(b, 33)
         with pytest.raises(FactorizationIncomplete) as want:
-            factor_discriminant_reference(Trinomial(b, 33), max_effort=1000)
-        assert got.n == want.value.n == b * b - 4 * 33
-        assert str(got) == str(want.value)
-        for d, fact in facts.items():
-            assert same(fact, per_cell(b, d)), d
+            factor_discriminant_reference(Trinomial(b, 33))
+        assert want.value.n == e
+        assert got.message == str(want.value)
+        assert got.message.startswith(f"factorization of {e} exceeded")
+        for d, item in items.items():
+            assert item == _cell_report(b, d), d

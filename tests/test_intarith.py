@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from c4quartic import intarith
 from c4quartic.intarith import (
@@ -13,6 +13,7 @@ from c4quartic.intarith import (
     FactorizationIncomplete,
     _factor_into,
     _miller_rabin,
+    _sieve_progression,
     factor,
     is_prime,
     is_square,
@@ -230,22 +231,24 @@ class TestFactor:
         p = 2**89 - 1
         assert factor(p).factors == ((p, 1),)
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 100)
         n = (2**89 - 1) * (2**107 - 1)
         with pytest.raises(FactorizationIncomplete) as info:
-            factor(n, max_effort=100)
+            factor(n)
         assert info.value.n == n
 
     # the two primes after 2^40: past trial division and the 10^12 bound, so the
     # splitter needs about 2^20 steps
     SEMIPRIME = 1099511627791 * 1099511627803
 
-    def test_budget_message_matches_the_core(self):
+    def test_budget_message_matches_the_core(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
         n = -self.SEMIPRIME
         with pytest.raises(FactorizationIncomplete) as public:
-            factor(n, max_effort=1000)
+            factor(n)
         with pytest.raises(FactorizationIncomplete) as core:
-            _factor_into(n, {2: 4}, 2, 1000)
+            _factor_into(n, {2: 4}, 2)
         assert str(core.value) == str(public.value)
         assert core.value.n == public.value.n == n
         assert str(public.value) == (
@@ -256,9 +259,10 @@ class TestFactor:
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
         with pytest.raises(FactorizationIncomplete) as patched:
             factor(self.SEMIPRIME)
-        with pytest.raises(FactorizationIncomplete) as explicit:
-            factor(self.SEMIPRIME, max_effort=1000)
-        assert str(patched.value) == str(explicit.value)
+        assert str(patched.value) == (
+            f"factorization of {self.SEMIPRIME} exceeded effort budget"
+            f" at cofactor {self.SEMIPRIME}"
+        )
         monkeypatch.undo()
         assert factor(self.SEMIPRIME).factors == ((1099511627791, 1), (1099511627803, 1))
 
@@ -278,6 +282,70 @@ class TestFactor:
         assert str(factor(2000)) == "2^4 * 5^3"
         assert str(factor(-10)) == "-2 * 5"
         assert str(factor(1)) == "1"
+
+
+class TestSieveProgression:
+    """``_sieve_progression`` term by term against undiluted trial division."""
+
+    # the least prime above 997^2: a cofactor the sieve must leave whole
+    PRIME_ABOVE_997_SQUARED = 994013
+
+    def check(self, a, n):
+        found, rest = _sieve_progression(a, n)
+        terms = [a - 4 * i for i in range(n)]
+        assert len(found) == len(rest) == n
+        top = max(abs(t) for t in terms)
+        for term, f, r in zip(terms, found, rest):
+            if term == 0:
+                assert (f, r) == ([(2, 0)], 1)
+                continue
+            want = trial_factorization(term)
+            assert f[0] == (2, want.get(2, 0)), term
+            odd = [p for p, _ in f[1:]]
+            # exactly the odd primes below 1000 with p^2 <= max |term| dividing term
+            assert odd == sorted(p for p in want if 2 < p < 1000 and p * p <= top), term
+            assert all(want[p] == j for p, j in f[1:]), term
+            left = {p: k for p, k in want.items() if p != 2 and p not in odd}
+            assert r == math.prod(p**k for p, k in left.items()), term
+            # what _factor_tail may take: 1, a prime, or free of the primes below 1000
+            assert r == 1 or left == {r: 1} or min(left) > 1000, term
+
+    @pytest.mark.parametrize(
+        "a, n",
+        [
+            (20, 11),  # 20 down to -20: crosses 0, with a zero term
+            (0, 1),  # a lone zero
+            (45, 1),  # n = 1
+            (1, 1),
+            (-7, 30),  # negative terms only
+            (130, 70),  # crosses 0, ends at -146
+            (3**12, 5),  # 3^12 = 531441, then 531437, ...
+            (3**13, 1),
+            (4 * 3**9 + 4, 2),  # 2^4 * 7 * 19 * 37, then 2^2 * 3^9
+            (2**20, 3),  # a pure power of 2
+            (3 * PRIME_ABOVE_997_SQUARED, 1),  # cofactor prime just above 997^2
+            (PRIME_ABOVE_997_SQUARED, 1),
+            (997**2, 3),  # largest |term| exactly 997^2, at the start
+            (-1, 13),  # -1 down to -49: largest |term| exactly 7^2, at the end
+            (997**2 - 8, 3),  # ends at 997^2 - 16 = 993 * 1001 = 3 * 7 * 11 * 13 * 331
+        ],
+    )
+    def test_terms(self, a, n):
+        self.check(a, n)
+
+    def test_largest_term_exactly_p_squared(self):
+        # p^2 = max |term| is still sieved by p, at either end of the run
+        assert _sieve_progression(997**2, 1) == ([[(2, 0), (997, 2)]], [1])
+        found, rest = _sieve_progression(-1, 13)
+        assert (found[-1], rest[-1]) == ([(2, 0), (7, 2)], 1)
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=1, max_value=150),
+    )
+    def test_random_runs(self, a, n):
+        self.check(a, n)
 
 
 class TestRadicalSquarefreeValuation:

@@ -83,7 +83,7 @@ class TestFactorDiscriminant:
         with pytest.raises(FactorizationIncomplete) as got:
             factor_discriminant(t)
         with pytest.raises(FactorizationIncomplete) as want:
-            factor_discriminant_reference(t, max_effort=1000)
+            factor_discriminant_reference(t)
         assert str(got.value) == str(want.value)
         assert got.value.n == want.value.n == (d if named == "d" else b * b - 4 * d)
 

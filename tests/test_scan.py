@@ -72,6 +72,18 @@ class TestScan:
         b = 5 * ((1 << 40) + 1)
         assert scan_c4_candidates(b, b, 1, 2) == scan_c4_bruteforce(b, b, 1, 2)
 
+    def test_a_cell_reached_from_two_s_is_listed_once(self):
+        # (8, 8) comes from (s, u, w) = (2, 2, 4) and from the non-squarefree (8, 1, 1)
+        assert scan_c4_candidates(8, 8, 8, 8) == [(8, 8)]
+
+    def test_non_squarefree_s_add_no_cell_and_no_duplicate(self):
+        box = (-60, 60, 1, 300)
+        cells = scan_c4_candidates(*box)
+        # hits through s = 8: (+-8, 8) from u = w = 1, (-24, 72) from (8, 3, -3)
+        assert {(-8, 8), (8, 8), (-24, 72)} <= set(cells)
+        assert len(set(cells)) == len(cells)
+        assert cells == scan_c4_bruteforce(*box)
+
     def test_active_backend_name(self):
         assert active_backend() == "pure"
 

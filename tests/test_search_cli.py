@@ -117,7 +117,7 @@ class TestFormatting:
         t = Trinomial(2**40 + 1, 33)
         [item] = iter_box(t.b, t.b, t.d, t.d)
         with pytest.raises(FactorizationIncomplete) as want:
-            factor_discriminant_reference(t, max_effort=1000)
+            factor_discriminant_reference(t)
         assert item == SearchError(t, str(want.value))
         assert format_item(item, "json") == _JSON.encode(item.to_dict())
 
