@@ -3,13 +3,15 @@
 Exit codes follow one convention across subcommands: 0 when the requested
 work succeeded (and any verification passed), 1 when a verification or
 cross-check failed, 2 for unusable input (bad arguments, degenerate
-trinomials, factorization giving up).
+trinomials, factorization giving up), and 141 (128 + SIGPIPE) when the reader
+closes stdout early, as under ``| head``; nothing is printed then.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .intarith import FactorizationIncomplete
@@ -127,6 +129,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0 if not result.disagreements else 1
 
 
+# 128 + SIGPIPE, the status a shell reports for `yes | head`
+_EXIT_BROKEN_PIPE = 141
+
 _COMMANDS = {
     "classify": _cmd_classify,
     "monogenic": _cmd_monogenic,
@@ -139,7 +144,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # a closed pipe shows here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left unwritten goes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_BROKEN_PIPE
     except (ValueError, FactorizationIncomplete) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .gfq import Coeffs, _gcd, _trim
 from .intarith import is_prime
-from .trinomial import Trinomial, discriminant, is_irreducible
+from .trinomial import Trinomial, _json_form, discriminant, is_irreducible
 
 __all__ = [
     "BranchIntermediates",
@@ -59,7 +59,7 @@ class BranchIntermediates:
     disjunct: int | None = None
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
+        return _json_form(self)
 
 
 @dataclass(frozen=True)
@@ -85,18 +85,7 @@ class PrimeVerdict:
         return cls(prime=prime, evaluated=False, divides_index=False, branch=None)
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "prime": self.prime,
-            "evaluated": self.evaluated,
-            "divides_index": self.divides_index,
-            "branch": self.branch,
-        }
-        if self.intermediates is not None:
-            out["intermediates"] = self.intermediates.to_dict()
-        for name, poly in (("h1", self.h1), ("h2", self.h2), ("h_gcd", self.h_gcd)):
-            if poly is not None:
-                out[name] = list(poly)
-        return out
+        return _json_form(self)
 
 
 def _exact_div(num: int, q: int) -> int:

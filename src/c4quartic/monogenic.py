@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .index_criterion import PrimeVerdict, _verdict
 from .intarith import Factorization, _factor_into, factor, radical
-from .trinomial import Signature, Trinomial, _c4, _irreducible, _signature, is_c4
+from .trinomial import Signature, Trinomial, _c4, _irreducible, _json_form, _signature, is_c4
 
 __all__ = [
     "DegenerateTrinomialError",
@@ -76,24 +76,7 @@ class MonogenicityReport:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "trinomial": {"b": self.trinomial.b, "d": self.trinomial.d},
-            "irreducible": self.irreducible,
-            "c4": self.c4,
-            "disc": self.disc,
-            "disc_factored": None
-            if self.disc_factored is None
-            else {
-                "sign": self.disc_factored.sign,
-                "factors": [[p, e] for p, e in self.disc_factored.factors],
-            },
-            "verdicts": [v.to_dict() for v in self.verdicts],
-            "monogenic": self.monogenic,
-            "field_disc": self.field_disc,
-            "signature": None
-            if self.signature is None
-            else {"r1": self.signature.r1, "r2": self.signature.r2},
-        }
+        return _json_form(self)
 
 
 def is_monogenic(t: Trinomial) -> MonogenicityReport:

@@ -19,6 +19,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator
 
 from .fields import distinct_fields
@@ -35,7 +36,7 @@ from .intarith import (
 from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is_monogenic
 from ._scan_py import scan_c4
 from .scan import _check_box, scan_c4_candidates
-from .trinomial import Trinomial, discriminant, is_irreducible
+from .trinomial import Trinomial, _json_form, discriminant, is_irreducible
 
 __all__ = [
     "CSV_HEADER",
@@ -185,11 +186,8 @@ def _json_verdict(v: PrimeVerdict) -> str:
     )
     i = v.intermediates
     if i is not None:
-        named = (
-            ("b1", i.b1), ("b2", i.b2), ("d1", i.d1), ("d2", i.d2), ("s", i.s),
-            ("disjunct", i.disjunct),
-        )
-        fields = ",".join(f'"{k}":{x}' for k, x in named if x is not None)
+        # every field of BranchIntermediates is optional: its set ones, in order
+        fields = ",".join(f'"{k}":{x}' for k, x in vars(i).items() if x is not None)
         out += f',"intermediates":{{{fields}}}'
     for name, poly in (("h1", v.h1), ("h2", v.h2), ("h_gcd", v.h_gcd)):
         if poly is not None:
@@ -270,24 +268,6 @@ def _lines_for_range(
     return list(_lines(items, fmt, skips.append)), skips
 
 
-def _strip_worker(args: tuple) -> tuple[list[str], list[str]]:
-    return _lines_for_range(*args)
-
-
-def _split_strips(b_min: int, b_max: int, workers: int) -> list[tuple[int, int]]:
-    """At most ``workers`` contiguous, non-empty, balanced b-ranges."""
-    n = b_max - b_min + 1
-    k = min(workers, n)
-    base, extra = divmod(n, k)
-    strips = []
-    lo = b_min
-    for i in range(k):
-        hi = lo + base - 1 + (1 if i < extra else 0)
-        strips.append((lo, hi))
-        lo = hi + 1
-    return strips
-
-
 def search_lines(
     b_min: int,
     b_max: int,
@@ -317,11 +297,16 @@ def search_lines(
         return _lines(_items(b_min, b_max, d_min, d_max, c4_only, monogenic_only), fmt, skip)
 
     def stream() -> Iterator[str]:
-        strips = _split_strips(b_min, b_max, workers)
-        args = [(lo, hi, d_min, d_max, c4_only, monogenic_only, fmt) for lo, hi in strips]
-        # strips fix the output; the pool size only bounds the processes started
-        with ProcessPoolExecutor(max_workers=min(len(strips), os.cpu_count() or 1)) as pool:
-            for lines, skips in pool.map(_strip_worker, args):
+        # k contiguous, non-empty, balanced b-strips; they fix the output, and
+        # the pool size only bounds the processes started
+        n = b_max - b_min + 1
+        k = min(workers, n)
+        los = [b_min + i * n // k for i in range(k)]
+        his = [lo - 1 for lo in los[1:]] + [b_max]
+        # every strip has the same d-range, filters and format
+        same = map(repeat, (d_min, d_max, c4_only, monogenic_only, fmt))
+        with ProcessPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
+            for lines, skips in pool.map(_lines_for_range, los, his, *same):
                 for msg in skips:
                     skip(msg)
                 yield from lines
@@ -390,12 +375,7 @@ class Disagreement:
     oracle_divides: bool
 
     def to_dict(self) -> dict:
-        return {
-            "trinomial": {"b": self.trinomial.b, "d": self.trinomial.d},
-            "prime": self.prime,
-            "engine": self.engine.to_dict(),
-            "oracle_divides": self.oracle_divides,
-        }
+        return _json_form(self)
 
 
 @dataclass(frozen=True)
@@ -406,12 +386,7 @@ class OracleCheckResult:
     disagreements: tuple[Disagreement, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "sampled": self.sampled,
-            "agreements": self.agreements,
-            "disagreements": [d.to_dict() for d in self.disagreements],
-        }
+        return _json_form(self)
 
 
 def oracle_check(

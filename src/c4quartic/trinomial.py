@@ -10,7 +10,7 @@ sign conditions.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .intarith import is_square, isqrt
 
@@ -52,6 +52,21 @@ class Signature:
 
     r1: int
     r2: int
+
+
+def _json_form(x):
+    # the JSON form of a result type: a dataclass is a dict of its
+    # fields in declaration order, without an optional part (a field whose
+    # default is None) while it is None; a tuple is a list
+    if is_dataclass(x):
+        return {
+            f.name: _json_form(v)
+            for f in fields(x)
+            if (v := getattr(x, f.name)) is not None or f.default is not None
+        }
+    if isinstance(x, tuple):
+        return [_json_form(v) for v in x]
+    return x
 
 
 class Classification(enum.Enum):

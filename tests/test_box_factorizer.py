@@ -92,7 +92,7 @@ class TestAgainstFactorDiscriminant:
 
 
 class TestWalk:
-    # 7 rows over 1, 2 and 3 workers give strips of 7, 4+3 and 3+2+2 rows;
+    # 7 rows over 1, 2 and 3 workers give strips of 7, 3+4 and 2+2+3 rows;
     # each worker's factorizer starts at a row of its own, and every row
     # of the 150-wide d-range ends in a partial segment
     BOX = (100_000, 100_006, 999_999_993, 1_000_000_142)

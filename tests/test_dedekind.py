@@ -2,8 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from c4quartic import dedekind, search
-from c4quartic.dedekind import dedekind_divides_index
+from c4quartic.dedekind import _divides_index, dedekind_divides_index
+from c4quartic.index_criterion import _verdict
 from c4quartic.intarith import primes_upto
+from c4quartic.monogenic import factor_discriminant
+from c4quartic.scan import scan_c4_candidates
 from c4quartic.search import oracle_check
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
 from oracles import dedekind_bruteforce
@@ -101,6 +104,19 @@ class TestAgainstOracles:
             (t, q) for t, q in pairs if dedekind_bruteforce(t.b, t.d, q) != dedekind_divides_index(t, q)
         ]
         assert split == []
+
+    def test_every_prime_of_every_theorem_candidate(self):
+        # the cyclic quartic candidates of `verify-theorem --b-bound 300
+        # --d-bound 30000`, on which the theorem rests, at every prime of
+        # the discriminant, with no cap on the prime
+        candidates = scan_c4_candidates(-300, 300, 1, 30000)
+        pairs = 0
+        for b, d in candidates:
+            t = Trinomial(b, d)
+            for q in factor_discriminant(t).primes():
+                assert _verdict(t, q).divides_index == _divides_index(t, q), (b, d, q)
+                pairs += 1
+        assert (len(candidates), pairs) == (1194, 3790)
 
 
 class TestValidation:

@@ -191,6 +191,10 @@ class TestValidation:
             _verdict(Trinomial(3, 1), 3)
 
 
+# the JSON key order of every verdict; the optional parts follow it
+VERDICT_KEYS = ["prime", "evaluated", "divides_index", "branch"]
+
+
 class TestVerdictType:
     def test_skipped(self):
         v = PrimeVerdict.skipped(7)
@@ -198,6 +202,31 @@ class TestVerdictType:
         assert not v.evaluated
         assert not v.divides_index
         assert v.branch is None
+        assert v.to_dict() == dict(zip(VERDICT_KEYS, (7, False, False, None)))
+        assert list(v.to_dict()) == VERDICT_KEYS
+
+    @pytest.mark.parametrize(
+        "b, d, q, branch, keys, intermediates",
+        [
+            (6, 3, 3, 1, VERDICT_KEYS, None),
+            (3, 9, 3, 1, VERDICT_KEYS, None),
+            (0, 1, 2, 2, VERDICT_KEYS + ["intermediates"], ["b2", "d1", "s", "disjunct"]),
+            (-12, -9, 2, 2, VERDICT_KEYS + ["intermediates"], ["b2", "d1", "s"]),
+            (1, 3, 3, 3, VERDICT_KEYS + ["intermediates"], ["b1", "d2", "s", "disjunct"]),
+            (-11, -10, 2, 3, VERDICT_KEYS + ["intermediates"], ["b1", "d2", "s"]),
+            (5, 5, 2, 4, VERDICT_KEYS + ["h1", "h2", "h_gcd"], None),
+            (-11, -9, 2, 4, VERDICT_KEYS + ["h1", "h2", "h_gcd"], None),
+            (1, -1, 5, 5, VERDICT_KEYS, None),
+        ],
+    )
+    def test_to_dict_key_order(self, b, d, q, branch, keys, intermediates):
+        # literal key lists: a new or moved dataclass field changes stdout
+        v = prime_index_test(Trinomial(b, d), q)
+        assert v.branch == branch
+        got = v.to_dict()
+        assert list(got) == keys
+        if intermediates is not None:
+            assert list(got["intermediates"]) == intermediates
 
     def test_to_dict_branch_4(self):
         d = prime_index_test(Trinomial(5, 5), 2).to_dict()

@@ -203,8 +203,22 @@ class TestClosedFormAgainstEngine:
 
 class TestReportDict:
     def test_key_set_and_order(self):
-        r = is_monogenic(Trinomial(5, 5))
-        assert list(r.to_dict().keys()) == REPORT_KEYS
+        # literal key lists: a new or moved dataclass field changes stdout;
+        # non-monogenic, monogenic, reducible with e = 0, reducible
+        for b, d in [(5, 5), (-5, 5), (4, 4), (0, -1)]:
+            r = is_monogenic(Trinomial(b, d))
+            got = r.to_dict()
+            assert list(got.keys()) == REPORT_KEYS
+            assert list(got["trinomial"]) == ["b", "d"]
+            if r.disc_factored is None:
+                assert got["disc_factored"] is None
+            else:
+                assert list(got["disc_factored"]) == ["sign", "factors"]
+            if r.irreducible:
+                assert list(got["signature"]) == ["r1", "r2"]
+                assert got["verdicts"] == [v.to_dict() for v in r.verdicts] != []
+            else:
+                assert (got["verdicts"], got["field_disc"], got["signature"]) == ([], None, None)
 
     def test_json_serializable(self):
         for b, d in [(5, 5), (-5, 5), (0, 1), (0, -1), (2, 1)]:

@@ -94,15 +94,15 @@ class TestFormatting:
             if not item.irreducible:
                 seen.add("reducible")
             for v in item.verdicts:
-                seen.add(("branch", v.branch))
-                if v.branch == 2:
-                    seen.add(("disjunct", v.intermediates.disjunct))
-                if v.branch == 4:
-                    seen.add(("h_gcd", len(v.h_gcd) > 1))
+                seen.add(("branch", v.branch, v.divides_index))
+                if v.branch in (2, 3):
+                    seen.add((v.branch, "disjunct", v.intermediates.disjunct))
         assert seen >= {"error", "disc 0", "reducible"}
-        assert seen >= {("branch", k) for k in (1, 2, 3, 4, 5, None)}
-        assert seen >= {("disjunct", 1), ("disjunct", 2), ("disjunct", None)}
-        assert seen >= {("h_gcd", False), ("h_gcd", True)}
+        # every verdict shape: each branch either way, each disjunct, placeholders
+        assert seen >= {("branch", k, x) for k in (1, 2, 3, 4, 5) for x in (False, True)}
+        assert ("branch", None, False) in seen
+        assert seen >= {(2, "disjunct", k) for k in (1, 2, None)}
+        assert seen >= {(3, "disjunct", k) for k in (1, None)}
 
     @given(
         st.integers(min_value=-10**12, max_value=10**12),
@@ -172,8 +172,8 @@ class TestSearchLines:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, args):
-                return map(fn, args)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
         wide = list(search_lines(0, 63, 1, 2, workers=64))
@@ -287,9 +287,12 @@ class TestOracleCheckEdges:
         assert dis.engine.divides_index != oracle
         assert res.agreements == honest.agreements - 1
         out = dis.to_dict()
-        assert set(out) == {"trinomial", "prime", "engine", "oracle_divides"}
+        assert list(out) == ["trinomial", "prime", "engine", "oracle_divides"]
         assert out["trinomial"] == {"b": t.b, "d": t.d}
-        assert out["engine"]["prime"] == q
+        assert out["engine"] == dis.engine.to_dict() and out["engine"]["prime"] == q
+        whole = res.to_dict()
+        assert list(whole) == ["requested", "sampled", "agreements", "disagreements"]
+        assert whole["disagreements"] == [out]
 
     def test_cli_prints_it_and_exits_1(self, monkeypatch, capsys):
         flipped = flip_first_oracle_answer(monkeypatch)
@@ -470,14 +473,42 @@ class TestCli:
         assert info.value.code == 2
 
     def test_module_entry_point(self):
-        # the child must import the same package, also from an uninstalled checkout
-        src = os.path.dirname(os.path.dirname(c4quartic.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         out = subprocess.run(
             [sys.executable, "-m", "c4quartic", "monogenic", "--b", "4", "--d", "2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["monogenic"] is True
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_closed_pipe_ends_quietly(self, fmt, workers):
+        # the reader takes one line and closes the pipe, as `| head -1` does;
+        # the output left is far more than the pipe and stdout buffers hold
+        argv = [
+            "search",
+            "--b-min", "-60", "--b-max", "60",
+            "--d-min", "1", "--d-max", "60",
+            "--format", fmt, "--workers", workers,
+        ]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "c4quartic", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert first.endswith(b"\n")
+        assert proc.returncode == 141  # 128 + SIGPIPE
+        assert err == b""
+
+
+def child_env():
+    """The environment for a child that imports this package, also from a checkout."""
+    src = os.path.dirname(os.path.dirname(c4quartic.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
