@@ -51,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--monogenic-only", action="store_true", help="keep only monogenic trinomials"
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1, help="parallel strip count")
+    p.add_argument(
+        "--workers", type=int, default=1, help="worker processes (at most one per CPU)"
+    )
 
     p = sub.add_parser(
         "verify-theorem",
@@ -102,10 +104,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     # one write per line, each as soon as it is ready: print would make two
     write = sys.stdout.write
-    if args.format == "csv":
-        write(CSV_HEADER + "\n")
-    for line in lines:
-        write(line + "\n")
+    try:
+        if args.format == "csv":
+            write(CSV_HEADER + "\n")
+        for line in lines:
+            write(line + "\n")
+    finally:
+        # a closed pipe stops a parallel search here: chunks not yet started
+        # are cancelled
+        lines.close()
     return 0
 
 

@@ -1,9 +1,13 @@
 """Box searches, the exactly-three verification, and engine-vs-oracle sampling.
 
 A search walks a coefficient rectangle, classifies every cell, and streams
-one formatted line per surviving item.  Work parallelizes by contiguous
-b-strips; because every strip is classified deterministically and strips are
-emitted in order, the output stream is byte-identical for any worker count.
+one formatted line per surviving item.  With more than one worker the box
+is cut into small chunks of whole b-rows (of C4 candidates, with
+``c4_only``), classified in a process pool and emitted in b order; every
+chunk is classified deterministically, so the output stream is
+byte-identical for any worker count.  At most two chunks per process are
+in flight, so memory stays bounded and a reader who stops early stops the
+pool within that window.
 
 Cells that cannot be classified (d = 0, or a discriminant the factorizer
 gave up on) become error records rather than aborting the run.  JSON output
@@ -17,10 +21,11 @@ from __future__ import annotations
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
 from .index_criterion import PrimeVerdict, _verdict
@@ -107,7 +112,13 @@ def _items(
     if c4_only:
         items = (_cell_report(b, d) for b, d in scan_c4(b_min, b_max, d_min, d_max))
     else:
-        items = _dense_items(b_min, b_max, d_min, d_max)
+        items = _dense_items(b_min, b_max, d_min, d_max, {})
+    yield from _kept(items, monogenic_only)
+
+
+def _kept(
+    items: Iterable[MonogenicityReport | SearchError], monogenic_only: bool
+) -> Iterator[MonogenicityReport | SearchError]:
     for item in items:
         if (
             monogenic_only
@@ -123,17 +134,21 @@ def _items(
 _SEGMENT = 64
 
 
+# each d a dense walk has factored: the prime counts of 16*d, its part of
+# the discriminant 16*d*e^2, or the factorizer's give-up
+_DTable = dict[int, dict[int, int] | FactorizationIncomplete]
+
+
 def _dense_items(
-    b_min: int, b_max: int, d_min: int, d_max: int
+    b_min: int, b_max: int, d_min: int, d_max: int, d_counts: _DTable
 ) -> Iterator[MonogenicityReport | SearchError]:
     # every cell, row by row, with factorizations shared across the walk.
-    # Each d is factored once, on first use, and kept (or its give-up kept)
-    # for every later row.  Along a row, e = b^2 - 4d steps down by 4 and is
-    # sieved segment by segment; d and the rest of e wait for their cell, and
-    # that rest goes to the factorizer's Brent tail, as in factor.  The
-    # sparse c4 walk stays per cell, where a sieve would cost more than the
-    # few cells it serves
-    d_counts: dict[int, dict[int, int] | FactorizationIncomplete] = {}
+    # Each d is factored once, on first use, and kept in d_counts (or its
+    # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
+    # down by 4 and is sieved segment by segment; d and the rest of e wait
+    # for their cell, and that rest goes to the factorizer's Brent tail, as
+    # in factor.  The sparse c4 walk stays per cell, where a sieve would
+    # cost more than the few cells it serves
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
@@ -254,18 +269,69 @@ def _lines(
             yield line
 
 
+# cells (or C4 candidates) per parallel chunk: the unit a pool worker
+# classifies and hands back whole, so it is what the first line waits for
+_CHUNK = 1024
+
+# this process's d table for dense chunks, keyed by their d-range: each d is
+# factored once per worker process, not once per chunk
+_d_tables: dict[tuple[int, int], _DTable] = {}
+
+
+def _d_table(d_min: int, d_max: int) -> _DTable:
+    table = _d_tables.get((d_min, d_max))
+    if table is None:
+        # a new d-range: the old table has no later use
+        _d_tables.clear()
+        table = _d_tables[d_min, d_max] = {}
+    return table
+
+
 def _lines_for_range(
     b_lo: int,
     b_hi: int,
     d_min: int,
     d_max: int,
-    c4_only: bool,
+    cells: list[tuple[int, int]] | None,
     monogenic_only: bool,
     fmt: str,
 ) -> tuple[list[str], list[str]]:
+    # one chunk in a pool worker: every cell of rows b_lo..b_hi, or, for a
+    # c4 search, the candidate cells of those rows
+    if cells is None:
+        items = _dense_items(b_lo, b_hi, d_min, d_max, _d_table(d_min, d_max))
+    else:
+        items = (_cell_report(b, d) for b, d in cells)
     skips: list[str] = []
-    items = _items(b_lo, b_hi, d_min, d_max, c4_only, monogenic_only)
-    return list(_lines(items, fmt, skips.append)), skips
+    return list(_lines(_kept(items, monogenic_only), fmt, skips.append)), skips
+
+
+def _chunks(
+    b_min: int, b_max: int, d_min: int, d_max: int, c4_only: bool, workers: int
+) -> list[tuple[int, int, list[tuple[int, int]] | None]]:
+    """The chunks of a parallel search as (b_lo, b_hi, cells), in b order.
+
+    A chunk is about ``_CHUNK`` cells of whole rows, or ``_CHUNK`` C4
+    candidates cut between rows, so no two chunks share a first row.  A
+    small box still gets one chunk per worker where its rows allow.
+    """
+    if not c4_only:
+        rows = -(-(b_max - b_min + 1) // workers)
+        rows = max(1, min(rows, _CHUNK // (d_max - d_min + 1)))
+        return [(lo, min(lo + rows - 1, b_max), None) for lo in range(b_min, b_max + 1, rows)]
+    # the scan runs once, here; the workers only classify its candidates
+    cells = scan_c4(b_min, b_max, d_min, d_max)
+    size = max(1, min(_CHUNK, -(-len(cells) // workers)))
+    chunks = []
+    start = 0
+    while start < len(cells):
+        end = min(start + size, len(cells))
+        while end < len(cells) and cells[end][0] == cells[end - 1][0]:
+            end += 1
+        part = cells[start:end]
+        chunks.append((part[0][0], part[-1][0], part))
+        start = end
+    return chunks
 
 
 def search_lines(
@@ -279,13 +345,14 @@ def search_lines(
     fmt: str = "json",
     workers: int = 1,
     on_skip: Callable[[str], None] | None = None,
-) -> Iterator[str]:
+) -> Generator[str, None, None]:
     """Stream formatted lines for a box search; output is worker-count invariant.
 
     The arguments are checked here, before the first line is asked for, so a
     caller can reject them before writing anything.  ``on_skip`` receives one
     message per cell the chosen format had to drop (CSV only); leaving it
-    None discards the messages.
+    None discards the messages.  Closing the stream early cancels the
+    chunks not yet started.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -297,19 +364,31 @@ def search_lines(
         return _lines(_items(b_min, b_max, d_min, d_max, c4_only, monogenic_only), fmt, skip)
 
     def stream() -> Iterator[str]:
-        # k contiguous, non-empty, balanced b-strips; they fix the output, and
-        # the pool size only bounds the processes started
-        n = b_max - b_min + 1
-        k = min(workers, n)
-        los = [b_min + i * n // k for i in range(k)]
-        his = [lo - 1 for lo in los[1:]] + [b_max]
-        # every strip has the same d-range, filters and format
-        same = map(repeat, (d_min, d_max, c4_only, monogenic_only, fmt))
-        with ProcessPoolExecutor(max_workers=min(k, os.cpu_count() or 1)) as pool:
-            for lines, skips in pool.map(_lines_for_range, los, his, *same):
+        chunks = _chunks(b_min, b_max, d_min, d_max, c4_only, workers)
+        if not chunks:
+            return
+        procs = min(workers, len(chunks), os.cpu_count() or 1)
+        todo = iter(chunks)
+        pool = ProcessPoolExecutor(max_workers=procs)
+
+        def submit(chunk: tuple) -> Future:
+            b_lo, b_hi, cells = chunk
+            args = (b_lo, b_hi, d_min, d_max, cells, monogenic_only, fmt)
+            return pool.submit(_lines_for_range, *args)
+
+        try:
+            # the window: at most 2 chunks per process are queued or running,
+            # and the next is submitted once the oldest is written out
+            window = deque(map(submit, islice(todo, 2 * procs)))
+            while window:
+                lines, skips = window.popleft().result()
                 for msg in skips:
                     skip(msg)
                 yield from lines
+                window.extend(map(submit, islice(todo, 1)))
+        finally:
+            # on an early close, chunks not yet started never run
+            pool.shutdown(cancel_futures=True)
 
     return stream()
 

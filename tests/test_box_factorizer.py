@@ -92,9 +92,9 @@ class TestAgainstFactorDiscriminant:
 
 
 class TestWalk:
-    # 7 rows over 1, 2 and 3 workers give strips of 7, 3+4 and 2+2+3 rows;
-    # each worker's factorizer starts at a row of its own, and every row
-    # of the 150-wide d-range ends in a partial segment
+    # 7 rows over 1, 2 and 3 workers give chunks of 7, 4+3 and 3+3+1 rows,
+    # so a worker's factorizer starts at a row of its own, and every row of
+    # the 150-wide d-range ends in a partial segment
     BOX = (100_000, 100_006, 999_999_993, 1_000_000_142)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -116,6 +116,20 @@ class TestWalk:
             list(iter_box(-6, 6, -5, 9))
             # each nonzero d once per walk: no table is shared between walks
             assert sorted(calls) == [d for d in range(-5, 10) if d != 0]
+
+    def test_each_d_factored_once_per_worker_process(self, monkeypatch, serial_pool):
+        calls = count_factor_into(monkeypatch)
+        # 1101 columns, wider than a chunk: 4 chunks of one row each, all
+        # run in this one process
+        got = list(search_lines(0, 3, -600, 500, workers=2))
+        assert len(serial_pool[0].submitted) == 4
+        assert sorted(calls) == [d for d in range(-600, 501) if d != 0]
+        # a new d-range drops the table of the old one
+        list(search_lines(0, 1, 1, 1100, workers=2))
+        assert list(search._d_tables) == [(1, 1100)]
+        calls.clear()
+        assert got == list(search_lines(0, 3, -600, 500, workers=1))
+        assert sorted(calls) == [d for d in range(-600, 501) if d != 0]
 
 
 class TestGiveUps:

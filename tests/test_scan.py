@@ -3,7 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c4quartic._scan_py import _route, _scan_gaussian, _scan_triples
+from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples
 from c4quartic.scan import active_backend, scan_c4_candidates
 from c4quartic.search import verify_theorem
 from c4quartic.trinomial import Trinomial, is_c4
@@ -20,7 +20,7 @@ EXHAUSTIVE_BOXES = [
     (5, 5, 5, 5),
 ]
 
-ROUTES = [_scan_gaussian, _scan_triples]
+ROUTES = [_scan_gaussian, _scan_triples, _scan_cells]
 
 # the witness boxes of test_scaled_witness and test_large_b_single_cell
 SCALED_WITNESS = (5 * 400_003, 5 * 400_003, 5 * 400_003**2, 5 * 400_003**2)
@@ -87,14 +87,21 @@ class TestRouteChoice:
     def test_gaussian_route(self, box):
         assert _route(*box) is _scan_gaussian
 
-    @pytest.mark.parametrize(
-        "box",
-        [(10**12, 10**12 + 10, 1, 10**6), LARGE_B_CELL, SCALED_WITNESS],
-    )
+    @pytest.mark.parametrize("box", [(10**12, 10**12 + 10, 1, 10**6), LARGE_B_CELL])
     def test_triples_route(self, box):
-        # the Gaussian walk visits about max|b|*log S pairs (sigma, q) whatever the
-        # box's width: 10^7 on the scaled witness, 10^12 and more on the others
+        # the Gaussian walk visits about max|b|*log S pairs (sigma, q) whatever
+        # the box's width, 10^12 and more here; the triples walk takes 1 s on
+        # the first box's 1.1*10^7 cells, and one u on the second's d <= 2
         assert _route(*box) is _scan_triples
+
+    @pytest.mark.parametrize(
+        "box", [(10**12, 10**12 + 10, 10**12, 10**12 + 10), SCALED_WITNESS]
+    )
+    def test_cells_route(self, box):
+        # both walks visit every u <= sqrt(d_max): 10^6 of them on the 11x11
+        # box at 10^12, 894k on the one cell of the scaled witness
+        assert _route(*box) is _scan_cells
+        assert scan_c4_candidates(*box) == scan_c4_bruteforce(*box)
 
 
 class TestScan:

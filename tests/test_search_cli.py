@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import c4quartic
 from c4quartic import intarith, search
+from c4quartic._scan_py import scan_c4
 from c4quartic.cli import main
 from c4quartic.intarith import FactorizationIncomplete
 from c4quartic.monogenic import MonogenicityReport, is_monogenic
@@ -146,39 +147,92 @@ class TestFormatting:
             format_item(is_monogenic(Trinomial(5, 5)), "xml")
 
 
+# boxes whose chunks differ with the worker count: a chunk is about
+# search._CHUNK cells of whole rows, and a small box gets one per worker
+INVARIANCE_BOXES = [
+    (-8, 8, -6, 6),
+    (-300, 300, 7, 7),  # a d-range of width 1: many rows per chunk
+    (0, 3, -600, 600),  # wider than search._CHUNK: one row per chunk
+    (-11, 11, -50, 49),  # 23 rows of 100: chunks of 10, 8 or 3 rows, the last one short
+]
+# the filters, alone and together, on a box with C4 cells in many rows
+FILTERED_BOX = (-30, 30, -10, 60)
+FILTERS = [(True, False), (False, True), (True, True)]
+
+
+def lines_and_skips(box, workers, **kwargs):
+    skips = []
+    lines = list(search_lines(*box, workers=workers, on_skip=skips.append, **kwargs))
+    return lines, skips
+
+
 class TestSearchLines:
     def test_worker_invariance(self):
-        kwargs = dict(c4_only=False, monogenic_only=False, fmt="json")
-        one = list(search_lines(-8, 8, -6, 6, workers=1, **kwargs))
-        three = list(search_lines(-8, 8, -6, 6, workers=3, **kwargs))
-        eight = list(search_lines(-8, 8, -6, 6, workers=8, **kwargs))
-        assert one == three == eight
+        runs = [(box, False, False) for box in INVARIANCE_BOXES]
+        runs += [(FILTERED_BOX, c4, mono) for c4, mono in FILTERS]
+        for box, c4_only, monogenic_only in runs:
+            for fmt in ("json", "csv"):
+                kwargs = dict(c4_only=c4_only, monogenic_only=monogenic_only, fmt=fmt)
+                one = lines_and_skips(box, 1, **kwargs)
+                assert one[0], (box, kwargs)
+                # the d = 0 column gives CSV skips, and no C4 cell
+                has_skips = fmt == "csv" and not c4_only and box[2] <= 0 <= box[3]
+                assert bool(one[1]) == has_skips, (box, kwargs)
+                for workers in (2, 3, 8):
+                    assert lines_and_skips(box, workers, **kwargs) == one, (box, workers, kwargs)
 
     def test_more_workers_than_strips(self):
         one = list(search_lines(0, 1, 1, 30, workers=1))
         many = list(search_lines(0, 1, 1, 30, workers=16))
         assert one == many
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        caps = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                caps.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    def test_pool_capped_at_cpu_count(self, serial_pool):
         wide = list(search_lines(0, 63, 1, 2, workers=64))
-        assert caps and caps[0] <= (os.cpu_count() or 1)
+        assert serial_pool and serial_pool[0].max_workers <= (os.cpu_count() or 1)
         assert wide == list(search_lines(0, 63, 1, 2, workers=1))
+
+    # 20 rows of 8 cells in chunks of 16 cells: 10 chunks of 2 rows
+    SMALL_CHUNKS = (0, 19, 1, 8)
+
+    def test_window_bounds_the_chunks_in_flight(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(search, "_CHUNK", 16)
+        got = list(search_lines(*self.SMALL_CHUNKS, workers=2))
+        (pool,) = serial_pool
+        assert len(pool.submitted) == 10
+        assert pool.peak <= 2 * pool.max_workers
+        assert pool.shutdowns == [True]
+        assert got == list(search_lines(*self.SMALL_CHUNKS, workers=1))
+
+    def test_early_close_cancels_the_chunks_not_started(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(search, "_CHUNK", 16)
+        lines = search_lines(*self.SMALL_CHUNKS, workers=2)
+        first = next(lines)
+        lines.close()
+        (pool,) = serial_pool
+        assert first == next(search_lines(*self.SMALL_CHUNKS, workers=1))
+        assert len(pool.submitted) <= 2 * pool.max_workers < 10
+        assert pool.shutdowns == [True]
+
+    def test_parallel_c4_search_scans_once(self, monkeypatch, serial_pool):
+        scans = []
+
+        def counting(*box):
+            scans.append(box)
+            return scan_c4(*box)
+
+        monkeypatch.setattr(search, "scan_c4", counting)
+        got = list(search_lines(*FILTERED_BOX, c4_only=True, workers=3))
+        assert scans == [FILTERED_BOX]
+        # the candidates went out in chunks, each of whole rows
+        chunks = [args[4] for args in serial_pool[0].submitted]
+        assert len(chunks) == 3
+        assert all(a[-1][0] < b[0][0] for a, b in zip(chunks, chunks[1:]))
+        assert got == list(search_lines(*FILTERED_BOX, c4_only=True, workers=1))
+
+    def test_no_chunks_starts_no_pool(self, serial_pool):
+        # no cell of this box is cyclic quartic
+        assert list(search_lines(-3, 3, 1, 2, c4_only=True, workers=2)) == []
+        assert serial_pool == []
 
     def test_csv_skips_are_reported(self):
         skips = []
