@@ -30,10 +30,11 @@ caller can show its work.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .gfq import Coeffs, _gcd, _trim
-from .intarith import is_prime
+from .intarith import _TRIAL_LIMIT, is_prime
 from .trinomial import Trinomial, _json_form, discriminant, is_irreducible
 
 __all__ = [
@@ -81,7 +82,10 @@ class PrimeVerdict:
     h_gcd: Coeffs | None = None
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def skipped(cls, prime: int) -> "PrimeVerdict":
+        # frozen, so one placeholder per prime is shared by every report,
+        # from a bounded cache
         return cls(prime=prime, evaluated=False, divides_index=False, branch=None)
 
     def to_dict(self) -> dict:
@@ -153,6 +157,60 @@ def _verdict(t: Trinomial, q: int) -> PrimeVerdict:
     if q == 2:
         return _branch_4_mod4(t.b % 4, t.d % 4)
     return _branch_5(t, q)
+
+
+# the classes of (b mod 4, d mod 4) on which 2 divides the index; see
+# _small_index_prime for the derivation from branches 1 to 4
+_FAILS_AT_2 = frozenset({(0, 0), (2, 0), (0, 3), (2, 1), (1, 0), (1, 2), (3, 0), (1, 1)})
+
+
+def _small_index_prime(
+    b: int, d: int, d_counts: dict[int, int], e_found: list[tuple[int, int]]
+) -> int | None:
+    """The least prime below ``intarith._TRIAL_LIMIT`` dividing the index, or None.
+
+    Unchecked: x^4 + b*x^2 + d is irreducible (so d and e = b^2 - 4d are
+    nonzero); ``d_counts`` holds v_p(d) for every odd prime p | d below the
+    limit; ``e_found`` holds (p, v_p(e)) for every odd prime p below the
+    limit with p^2 | e.  Both may hold more: 2 and the primes above the
+    limit are not read.  A dense walk has both at hand before it factors
+    what is left of e: its d table and the segment sieve's found list.
+
+    The five branches reduce to a closed form, prime by prime:
+
+    - At 2 (2 always divides disc = 16*d*e^2) the verdict depends only on
+      (b, d) mod 4, and 2 divides the index on 8 of the 16 classes:
+      - branch 1 (b, d even): exactly when 4 | d, the classes (0, 0), (2, 0);
+      - branch 2 (b even, d odd): b2 = b/2 and d1 = (d + d^4)/2, where d1 is
+        odd exactly when d = 1 mod 4.  With 4 | b, b2 is even, so only the
+        first disjunct can hold, and it fails at (0, 3).  With b = 2 mod 4,
+        b2 is odd, the second disjunct's factor -d*b2^2 - d1^2 = 1 + d1
+        (mod 2) is odd exactly when d1 is even, and it fails at (2, 1);
+      - branch 3 (b odd, d even): b1 = b(b + 1)/2 is even exactly when
+        b = 3 mod 4, and d2 = d/2 is odd exactly when d = 2 mod 4, so it
+        fails everywhere but (3, 2): at (1, 0), (1, 2), (3, 0);
+      - branch 4 (b, d odd): h1 = x^2 + x + 1 is irreducible over GF(2), and
+        h2 = d(1 + d)/2 + x + b(1 + b)/2 * x^2 equals it exactly at (1, 1).
+    - At an odd q:
+      - q | d: branch 1 (q | b) fails exactly when q^2 | d, and so does
+        branch 3 (q ∤ b), since b1 = (b - b)/q = 0 leaves the test on
+        d2 = d/q;
+      - q ∤ d: branch 2 never meets an odd q (q | b makes e = -4d a unit
+        mod q), and branch 5 fails exactly when q^2 | e.
+      So q divides the index exactly when q^2 | d, or q ∤ d and q^2 | e,
+      and the test needs no q ∤ d: q | d and q^2 | e force q | b, hence
+      q^2 | b^2 - e = 4d.  A q with q^2 | d or q^2 | e divides disc, so
+      these are all the odd primes dividing the index.
+
+    The answer is the failing prime of the cell's report whenever it is not
+    None: every prime below the limit is read here, and the report takes
+    the least failing prime.  None says nothing about the primes above the
+    limit.
+    """
+    if (b % 4, d % 4) in _FAILS_AT_2:
+        return 2
+    pairs = itertools.chain(d_counts.items(), e_found)
+    return min((p for p, j in pairs if j > 1 and 2 < p < _TRIAL_LIMIT), default=None)
 
 
 def prime_index_test(t: Trinomial, q: int) -> PrimeVerdict:

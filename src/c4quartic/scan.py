@@ -1,11 +1,12 @@
 """Validated entry point for the cyclic quartic box scan.
 
-The work is done in :mod:`._scan_py` by one of two exact enumerations,
-chosen from the box: the Gaussian-integer walk over sigma*q^2, whose cost
-grows with max|b|, or the (s, u, w) walk, which is cheaper on a narrow
-b-strip far from the origin.  This module checks the box, for every
-box-taking entry point of the package, and names the backend for run
-records.
+The work is done in :mod:`._scan_py` by one of three exact routes, chosen
+from the box: the Gaussian-integer walk over sigma*q^2, whose cost grows
+with max|b|; the (s, u, w) walk, which is cheaper on a narrow b-strip far
+from the origin; or a test of each cell, which is cheapest on a small box
+far out, where both walks would visit every u <= sqrt(d_max).  This module
+checks the box, for every box-taking entry point of the package, and names
+the backend for run records.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ gave up on) become error records rather than aborting the run.  JSON output
 carries them inline as ``{"trinomial": ..., "error": ...}`` lines; CSV has
 no column for them, so they are dropped from the stream and reported through
 the ``on_skip`` callback instead.
+
+A dense walk that writes CSV, or keeps only monogenic cells, decides before
+it factors the rest of e: a reducible cell, or one the closed form of the
+index criterion sinks at a prime below 1000, gets its CSV row at once, or
+is dropped.  Such a cell never reaches the factorizer's Brent tail, so a
+give-up there cannot happen to it.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from itertools import islice
 from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
-from .index_criterion import PrimeVerdict, _verdict
+from .index_criterion import PrimeVerdict, _small_index_prime, _verdict
 from .dedekind import _divides_index
 from .intarith import (
     Factorization,
@@ -41,7 +47,16 @@ from .intarith import (
 from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is_monogenic
 from ._scan_py import scan_c4
 from .scan import _check_box, scan_c4_candidates
-from .trinomial import Trinomial, _json_form, discriminant, is_irreducible
+from .trinomial import (
+    Signature,
+    Trinomial,
+    _c4,
+    _irreducible,
+    _json_form,
+    _signature,
+    discriminant,
+    is_irreducible,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -102,23 +117,28 @@ def iter_box(
     Error records always pass through the filters.
     """
     _check_box(b_min, b_max, d_min, d_max)
-    return _items(b_min, b_max, d_min, d_max, c4_only, monogenic_only)
+    # JSON is the format that carries whole reports: no cell becomes a row
+    return _items(b_min, b_max, d_min, d_max, c4_only, monogenic_only, "json")
+
+
+# an item of a search stream: a report, an error record, or (in a dense CSV
+# walk) the CSV row of a cell decided before factoring
+_Item = MonogenicityReport | SearchError | str
 
 
 def _items(
-    b_min: int, b_max: int, d_min: int, d_max: int, c4_only: bool, monogenic_only: bool
-) -> Iterator[MonogenicityReport | SearchError]:
-    # unchecked body of iter_box: the box is non-empty
+    b_min: int, b_max: int, d_min: int, d_max: int, c4_only: bool, monogenic_only: bool, fmt: str
+) -> Iterator[_Item]:
+    # unchecked body of iter_box and of a one-process search_lines: the box
+    # is non-empty; strings come only with fmt "csv"
     if c4_only:
         items = (_cell_report(b, d) for b, d in scan_c4(b_min, b_max, d_min, d_max))
     else:
-        items = _dense_items(b_min, b_max, d_min, d_max, {})
+        items = _dense_items(b_min, b_max, d_min, d_max, {}, _settle(fmt, monogenic_only))
     yield from _kept(items, monogenic_only)
 
 
-def _kept(
-    items: Iterable[MonogenicityReport | SearchError], monogenic_only: bool
-) -> Iterator[MonogenicityReport | SearchError]:
+def _kept(items: Iterable[_Item], monogenic_only: bool) -> Iterator[_Item]:
     for item in items:
         if (
             monogenic_only
@@ -138,17 +158,30 @@ _SEGMENT = 64
 # the discriminant 16*d*e^2, or the factorizer's give-up
 _DTable = dict[int, dict[int, int] | FactorizationIncomplete]
 
+# how a dense walk settles a cell decided before factoring, from (b, d, e,
+# p), with p the least prime dividing the index, or None for a reducible
+# cell: the item to yield, or None to drop the cell
+_Settle = Callable[[int, int, int, int | None], str | None]
+
 
 def _dense_items(
-    b_min: int, b_max: int, d_min: int, d_max: int, d_counts: _DTable
-) -> Iterator[MonogenicityReport | SearchError]:
+    b_min: int,
+    b_max: int,
+    d_min: int,
+    d_max: int,
+    d_counts: _DTable,
+    settle: _Settle | None,
+) -> Iterator[_Item]:
     # every cell, row by row, with factorizations shared across the walk.
     # Each d is factored once, on first use, and kept in d_counts (or its
     # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
     # down by 4 and is sieved segment by segment; d and the rest of e wait
     # for their cell, and that rest goes to the factorizer's Brent tail, as
-    # in factor.  The sparse c4 walk stays per cell, where a sieve would
-    # cost more than the few cells it serves
+    # in factor.  With settle, a cell that is reducible, or whose index a
+    # prime below 1000 divides, is decided from d's table and the sieve
+    # before that tail, and settle says what becomes of it.  The sparse c4
+    # walk stays per cell, where a sieve would cost more than the few cells
+    # it serves
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
@@ -172,6 +205,14 @@ def _dense_items(
                 if isinstance(got, FactorizationIncomplete):
                     yield SearchError(Trinomial(b, d), str(got))
                     continue
+                if settle is not None:
+                    irreducible = _irreducible(b, d, e)
+                    p = _small_index_prime(b, d, got, found[i]) if irreducible else None
+                    if p is not None or not irreducible:
+                        row = settle(b, d, e, p)
+                        if row is not None:
+                            yield row
+                        continue
                 counts = dict(got)
                 for p, j in found[i]:
                     counts[p] = counts.get(p, 0) + 2 * j
@@ -183,6 +224,28 @@ def _dense_items(
                         continue
                 fact = Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
                 yield _report(Trinomial(b, d), fact)
+
+
+def _drop(b: int, d: int, e: int, p: int | None) -> None:
+    # under monogenic_only a cell decided before factoring is never monogenic
+    return None
+
+
+def _settled_csv(b: int, d: int, e: int, p: int | None) -> str:
+    # the row format_item writes for this cell's report: reducible when p is
+    # None, else sunk at p
+    disc = 16 * d * e * e
+    if p is None:
+        return _csv_row(b, d, False, False, disc, False, None, None)
+    return _csv_row(b, d, True, _c4(d, e), disc, False, _signature(b, d, e), p)
+
+
+def _settle(fmt: str, monogenic_only: bool) -> _Settle | None:
+    # what a dense walk does with a cell it decides before factoring; None
+    # for an unfiltered JSON walk, whose lines print every verdict
+    if monogenic_only:
+        return _drop
+    return _settled_csv if fmt == "csv" else None
 
 
 def _bool_str(v: bool) -> str:
@@ -240,15 +303,37 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     if isinstance(item, SearchError):
         return None
-    sig = item.signature
-    failing = item.failing_prime()
+    t = item.trinomial
+    return _csv_row(
+        t.b,
+        t.d,
+        item.irreducible,
+        item.c4,
+        item.disc,
+        item.monogenic,
+        item.signature,
+        item.failing_prime(),
+    )
+
+
+def _csv_row(
+    b: int,
+    d: int,
+    irreducible: bool,
+    c4: bool,
+    disc: int,
+    monogenic: bool,
+    sig: Signature | None,
+    failing: int | None,
+) -> str:
+    # the one CSV row writer, in the order of CSV_HEADER
     fields = (
-        str(item.trinomial.b),
-        str(item.trinomial.d),
-        _bool_str(item.irreducible),
-        _bool_str(item.c4),
-        str(item.disc),
-        _bool_str(item.monogenic),
+        str(b),
+        str(d),
+        _bool_str(irreducible),
+        _bool_str(c4),
+        str(disc),
+        _bool_str(monogenic),
         "" if sig is None else str(sig.r1),
         "" if sig is None else str(sig.r2),
         "" if failing is None else str(failing),
@@ -256,11 +341,13 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
     return ",".join(fields)
 
 
-def _lines(
-    items: Iterator[MonogenicityReport | SearchError], fmt: str, on_skip: Callable[[str], None]
-) -> Iterator[str]:
+def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> Iterator[str]:
     """One line per item; each item the format cannot carry goes to ``on_skip``."""
     for item in items:
+        if isinstance(item, str):
+            # a CSV row the dense walk wrote itself
+            yield item
+            continue
         line = format_item(item, fmt)
         if line is None:
             assert isinstance(item, SearchError)
@@ -299,7 +386,8 @@ def _lines_for_range(
     # one chunk in a pool worker: every cell of rows b_lo..b_hi, or, for a
     # c4 search, the candidate cells of those rows
     if cells is None:
-        items = _dense_items(b_lo, b_hi, d_min, d_max, _d_table(d_min, d_max))
+        table = _d_table(d_min, d_max)
+        items = _dense_items(b_lo, b_hi, d_min, d_max, table, _settle(fmt, monogenic_only))
     else:
         items = (_cell_report(b, d) for b, d in cells)
     skips: list[str] = []
@@ -361,7 +449,7 @@ def search_lines(
     _check_box(b_min, b_max, d_min, d_max)
     skip = on_skip or (lambda msg: None)
     if workers == 1:
-        return _lines(_items(b_min, b_max, d_min, d_max, c4_only, monogenic_only), fmt, skip)
+        return _lines(_items(b_min, b_max, d_min, d_max, c4_only, monogenic_only, fmt), fmt, skip)
 
     def stream() -> Iterator[str]:
         chunks = _chunks(b_min, b_max, d_min, d_max, c4_only, workers)

@@ -7,13 +7,19 @@ through ``is_monogenic``, which factors d and e by trial division
 (``factor_discriminant``), and is the oracle here, cell by cell: equal
 reports carry equal factorizations.  Give-ups are checked against the
 package-independent ``factor_discriminant_reference``.
+
+A CSV or ``monogenic_only`` walk decides a reducible cell, or one whose
+index a prime below 1000 divides, before it factors the rest of e; its
+stream must still equal the per-cell route's, formatted and filtered.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from c4quartic import intarith, search
+from c4quartic.index_criterion import PrimeVerdict
 from c4quartic.intarith import FactorizationIncomplete
+from c4quartic.monogenic import MonogenicityReport
 from c4quartic.search import (
     _SEGMENT,
     SearchError,
@@ -41,6 +47,64 @@ def check_box(b_min, b_max, d_min, d_max):
             raise AssertionError(f"cell ({b}, {d}): {item!r} != {want!r}")
 
 
+def cells_of(b_min, b_max, d_min, d_max):
+    return [(b, d) for b in range(b_min, b_max + 1) for d in range(d_min, d_max + 1)]
+
+
+def kept(report, monogenic_only):
+    return not (monogenic_only and isinstance(report, MonogenicityReport) and not report.monogenic)
+
+
+def per_cell_lines(reports, fmt, monogenic_only):
+    """The lines of a search, and its skip messages, from per-cell reports."""
+    lines, skips = [], []
+    for report in reports:
+        if not kept(report, monogenic_only):
+            continue
+        line = format_item(report, fmt)
+        if line is None:
+            t = report.trinomial
+            skips.append(f"b={t.b} d={t.d}: {report.message}")
+        else:
+            lines.append(line)
+    return lines, skips
+
+
+def check_decided_box(box, workers=1):
+    """The streams that decide before factoring against the per-cell route."""
+    reports = [_cell_report(b, d) for b, d in cells_of(*box)]
+    for fmt, monogenic_only in (("csv", False), ("csv", True), ("json", True)):
+        skips = []
+        got = list(
+            search_lines(
+                *box, fmt=fmt, monogenic_only=monogenic_only, workers=workers, on_skip=skips.append
+            )
+        )
+        assert (got, skips) == per_cell_lines(reports, fmt, monogenic_only), (fmt, monogenic_only)
+    assert list(iter_box(*box, monogenic_only=True)) == [r for r in reports if kept(r, True)]
+
+
+def is_decided(report):
+    # reducible, or sunk at a prime below 1000: decided before the Brent tail
+    if isinstance(report, SearchError):
+        return False
+    p = report.failing_prime()
+    return not report.irreducible or (p is not None and p < 1000)
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call of ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def count_factor_into(monkeypatch):
     """The list of every number the dense walk hands to ``_factor_into``."""
     calls = []
@@ -51,6 +115,23 @@ def count_factor_into(monkeypatch):
 
     monkeypatch.setattr(search, "_factor_into", counting)
     return calls
+
+
+# the boxes of TestAgainstFactorDiscriminant.test_boxes, walked again by
+# TestDecideBeforeFactoring
+BOXES = [
+    (-3, 3, 7, 7),  # one cell wide
+    (-3, 3, 0, 0),  # the d = 0 column alone
+    (5, 9, 1, _SEGMENT),  # exactly one segment
+    (5, 9, 1, _SEGMENT + 1),  # one segment and one cell
+    (5, 9, -_SEGMENT - 7, 2 * _SEGMENT),  # crosses 0, ends mid-segment
+    (-20, 20, 1, 100),  # e = 0 on the even rows
+    (99_998, 100_002, 999_999_950, 1_000_000_080),  # e near 10^10
+    (-3, 3, -10**12 - 70, -10**12 + 70),  # negative d near -10^12
+]
+
+# the box of the box-csv-w2 benchmark workload
+BENCHMARK_BOX = (100_000, 100_119, 10**9, 10**9 + 119)
 
 
 class TestAgainstFactorDiscriminant:
@@ -64,19 +145,7 @@ class TestAgainstFactorDiscriminant:
         assert all(abs(b * b - 4 * d) < 1000 for b in (0, 1) for d in range(-40, 41))
         assert 81 % _SEGMENT != 0
 
-    @pytest.mark.parametrize(
-        "b_min, b_max, d_min, d_max",
-        [
-            (-3, 3, 7, 7),  # one cell wide
-            (-3, 3, 0, 0),  # the d = 0 column alone
-            (5, 9, 1, _SEGMENT),  # exactly one segment
-            (5, 9, 1, _SEGMENT + 1),  # one segment and one cell
-            (5, 9, -_SEGMENT - 7, 2 * _SEGMENT),  # crosses 0, ends mid-segment
-            (-20, 20, 1, 100),  # e = 0 on the even rows
-            (99_998, 100_002, 999_999_950, 1_000_000_080),  # e near 10^10
-            (-3, 3, -10**12 - 70, -10**12 + 70),  # negative d near -10^12
-        ],
-    )
+    @pytest.mark.parametrize("b_min, b_max, d_min, d_max", BOXES)
     def test_boxes(self, b_min, b_max, d_min, d_max):
         check_box(b_min, b_max, d_min, d_max)
 
@@ -167,3 +236,111 @@ class TestGiveUps:
         assert got.message.startswith(f"factorization of {e} exceeded")
         for d, item in items.items():
             assert item == _cell_report(b, d), d
+
+
+class TestDecideBeforeFactoring:
+    def test_every_cell_around_the_origin(self):
+        check_decided_box((-40, 40, -40, 40))
+
+    @pytest.mark.parametrize("box", BOXES)
+    def test_boxes(self, box):
+        check_decided_box(box)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_walk_box_on_any_worker_count(self, workers):
+        check_decided_box(TestWalk.BOX, workers)
+
+    @settings(max_examples=15)
+    @given(
+        st.integers(min_value=-10**12, max_value=10**12),
+        st.integers(min_value=-10**12, max_value=10**12),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2 * _SEGMENT + 3),
+    )
+    def test_boxes_near_10_to_the_12(self, b, d, rows, width):
+        check_decided_box((b, b + rows, d, d + width))
+
+    @pytest.mark.parametrize("fmt, monogenic_only", [("csv", False), ("json", True)])
+    def test_decided_cells_never_reach_the_brent_tail(self, monkeypatch, fmt, monogenic_only):
+        tails = count_calls(monkeypatch, search, "_factor_tail")
+        reports = count_calls(monkeypatch, search, "_report")
+        list(search_lines(*TestWalk.BOX, fmt=fmt, monogenic_only=monogenic_only))
+        by_e = {b * b - 4 * d: _cell_report(b, d) for b, d in cells_of(*TestWalk.BOX)}
+        # e = b^2 - 4d tells the cells of this box apart
+        assert len(by_e) == len(cells_of(*TestWalk.BOX))
+        decided = [r for r in by_e.values() if is_decided(r)]
+        assert 0 < len(decided) < len(by_e)
+        assert not any(is_decided(by_e[args[0]]) for args in tails)
+        assert len(reports) == len(by_e) - len(decided)
+        assert {args[0] for args in reports} == {
+            r.trinomial for r in by_e.values() if not is_decided(r)
+        }
+
+    def test_benchmark_box_spares_the_tail_and_the_placeholders(self, monkeypatch):
+        # each number the walk factors past trial division: the d table's
+        # through intarith, the rest of e through search
+        d_tails = count_calls(monkeypatch, intarith, "_factor_tail")
+        e_tails = count_calls(monkeypatch, search, "_factor_tail")
+        placeholders = []
+        skipped = PrimeVerdict.skipped
+
+        def counting_skipped(cls, prime):
+            placeholders.append(prime)
+            return skipped(prime)
+
+        monkeypatch.setattr(PrimeVerdict, "skipped", classmethod(counting_skipped))
+        cells = len(cells_of(*BENCHMARK_BOX))
+        lines = list(search_lines(*BENCHMARK_BOX, fmt="csv"))
+        assert len(lines) == cells
+        assert len(d_tails) + len(e_tails) <= 0.4 * cells
+        # one cell fails above the trial primes, at 1109, so it takes the
+        # full route, whose report marks its last prime unevaluated
+        assert [line for line in lines if line.endswith(",1109")] == [
+            "100089,1000000047,true,false,579424185814609041962658665328,false,0,2,1109"
+        ]
+        assert 1000000047 == 3 * 333333349
+        assert placeholders == [333333349]
+
+    @pytest.mark.parametrize(
+        "b, d",
+        [
+            (1, 3 * 1009**2),  # 1009^2 | d
+            (1, 3 * 933241),  # e = -11 * 1009^2: a square in the rest of e
+        ],
+    )
+    def test_a_failing_prime_above_1000_takes_the_full_route(self, monkeypatch, b, d):
+        box = (b, b, d - 2, d + 2)
+        want = [_cell_report(b, x) for x in range(d - 2, d + 3)]
+        reports = count_calls(monkeypatch, search, "_report")
+        for fmt, monogenic_only in (("csv", False), ("json", True)):
+            got = list(search_lines(*box, fmt=fmt, monogenic_only=monogenic_only))
+            assert got == per_cell_lines(want, fmt, monogenic_only)[0]
+        assert [args[0].d for args in reports].count(d) == 2
+        assert _cell_report(b, d).failing_prime() == 1009
+        assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
+
+    def test_a_decided_cell_cannot_give_up_on_e(self, monkeypatch):
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
+        # on this row the factorizer gives up on e at d = 30, 31, 33 and 35
+        # under this budget; 2 divides the index at d = 30 and 33, and the
+        # other two are left open by the closed form
+        b = 2**40 + 1
+        box = (b, b, 30, 36)
+        for d in (30, 31, 33, 35):
+            assert isinstance(_cell_report(b, d), SearchError)
+        assert [is_decided(_cell_report(b, d)) for d in (32, 34, 36)] == [True] * 3
+        skips = []
+        csv = list(search_lines(*box, fmt="csv", on_skip=skips.append))
+        # CSV prints the decided cells and skips only the open ones
+        assert [int(line.split(",")[1]) for line in csv] == [30, 32, 33, 34, 36]
+        assert [msg.split(":")[0] for msg in skips] == [f"b={b} d=31", f"b={b} d=35"]
+        for line in csv:
+            assert line.split(",")[5] == "false" and line.endswith(",2")
+        # monogenic_only drops them, and passes the open give-ups through
+        assert list(iter_box(*box, monogenic_only=True)) == [
+            _cell_report(b, 31),
+            _cell_report(b, 35),
+        ]
+        # unfiltered JSON still carries every give-up as an error record
+        errors = [item.trinomial.d for item in iter_box(*box) if isinstance(item, SearchError)]
+        assert errors == [30, 31, 33, 35]

@@ -2,10 +2,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c4quartic.dedekind import dedekind_divides_index
-from c4quartic.index_criterion import PrimeVerdict, _branch_4_mod4, _verdict, prime_index_test
-from c4quartic.intarith import primes_upto
+from c4quartic.index_criterion import (
+    _FAILS_AT_2,
+    PrimeVerdict,
+    _branch_4_mod4,
+    _small_index_prime,
+    _verdict,
+    prime_index_test,
+)
+from c4quartic.intarith import factor, primes_upto, valuation
+from c4quartic.monogenic import is_monogenic
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
-from oracles import closed_form_divides_index, dedekind_bruteforce, nmod_gcd, nmod_trim
+from oracles import (
+    FAILING_CLASSES_MOD_4,
+    closed_form_divides_index,
+    dedekind_bruteforce,
+    nmod_gcd,
+    nmod_trim,
+)
 
 coeffs = st.integers(min_value=-120, max_value=120)
 
@@ -171,6 +185,94 @@ class TestResidueClasses:
         assert checked > 0
 
 
+def lift_free_at_2(b, d, m):
+    """The first irreducible (b + m*i, d + m*j) with d != 0 on which 2 does
+    not divide the index, for odd m; i and j run over all classes mod 4."""
+    for i in range(16):
+        for j in range(16):
+            t = Trinomial(b + m * i, d + m * j)
+            if t.d and (t.b % 4, t.d % 4) not in _FAILS_AT_2 and is_irreducible(t):
+                return t
+    raise AssertionError(f"no lift of {(b, d)} mod {m} free at 2")
+
+
+def small_index_prime_of(t):
+    """The criterion on a cell's full factorizations of d and e."""
+    e = t.b * t.b - 4 * t.d
+    return _small_index_prime(t.b, t.d, dict(factor(t.d).factors), list(factor(e).factors))
+
+
+def least_failing_prime_below_1000(t):
+    p = is_monogenic(t).failing_prime()
+    return p if p is not None and p < 1000 else None
+
+
+class TestSmallIndexPrime:
+    def test_mod_4_table_is_the_closed_form(self):
+        assert _FAILS_AT_2 == FAILING_CLASSES_MOD_4
+        assert len(_FAILS_AT_2) == 8
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_every_class_mod_q_squared(self, q):
+        # the criterion read at q alone, on one lift per class mod q^2; at an
+        # odd q the lift is free at 2, so the mod-4 table does not answer first
+        qq = q * q
+        sunk = 0
+        for b0 in range(qq):
+            for d0 in range(qq):
+                if q == 2:
+                    t = irreducible_lift(b0, d0, qq)
+                    d_counts, e_found = {}, []
+                else:
+                    t = lift_free_at_2(b0, d0, qq)
+                    e = t.b * t.b - 4 * t.d
+                    d_counts = {q: valuation(t.d, q)} if t.d % q == 0 else {}
+                    e_found = [(q, valuation(e, q))] if e % q == 0 else []
+                b, d = t.b, t.d
+                assert (b % qq, d % qq) == (b0, d0)
+                closed = closed_form_divides_index(b, d, q)
+                got = _small_index_prime(b, d, d_counts, e_found)
+                assert got == (q if closed else None), (b, d, q)
+                if discriminant(t) % q == 0:
+                    assert closed == _verdict(t, q).divides_index, (b, d, q)
+                else:
+                    assert not closed, (b, d, q)
+                sunk += closed
+        assert 0 < sunk < qq * qq
+
+    def test_every_cell_around_the_origin(self):
+        for b in range(-30, 31):
+            for d in range(-30, 31):
+                t = Trinomial(b, d)
+                if d and is_irreducible(t):
+                    assert small_index_prime_of(t) == least_failing_prime_below_1000(t), (b, d)
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(min_value=-10**9, max_value=10**9),
+        st.integers(min_value=-10**9, max_value=10**9),
+    )
+    def test_random_cells(self, b, d):
+        t = Trinomial(b, d)
+        if d and is_irreducible(t):
+            assert small_index_prime_of(t) == least_failing_prime_below_1000(t)
+
+    @pytest.mark.parametrize(
+        "b, d",
+        [
+            (1, 3 * 1009**2),  # 1009^2 | d
+            (1, 3 * 933241),  # e = -11 * 1009^2, and 1009 does not divide d
+        ],
+    )
+    def test_a_failing_prime_above_1000_is_left_open(self, b, d):
+        # the first failing prime lies above the trial primes, so the
+        # criterion has nothing to say, and the full route must find it
+        t = Trinomial(b, d)
+        assert is_irreducible(t)
+        assert is_monogenic(t).failing_prime() == 1009
+        assert small_index_prime_of(t) is None
+
+
 class TestValidation:
     def test_composite_q_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +298,12 @@ VERDICT_KEYS = ["prime", "evaluated", "divides_index", "branch"]
 
 
 class TestVerdictType:
+    def test_skipped_is_shared_per_prime(self):
+        assert PrimeVerdict.skipped(7) is PrimeVerdict.skipped(7)
+        assert PrimeVerdict.skipped(7) == PrimeVerdict(7, False, False, None)
+        assert PrimeVerdict.skipped(7) != PrimeVerdict.skipped(11)
+        assert PrimeVerdict.skipped.cache_info().maxsize == 1024
+
     def test_skipped(self):
         v = PrimeVerdict.skipped(7)
         assert v.prime == 7
