@@ -14,6 +14,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+# the integer square root is math's, exported here under its own name: it
+# already raises ValueError on a negative argument
+from math import isqrt
 
 __all__ = [
     "Factorization",
@@ -64,22 +67,11 @@ class Factorization:
         return ("-" if self.sign < 0 else "") + (body or "1")
 
 
-def isqrt(n: int) -> int:
-    """Integer square root: the unique s >= 0 with s*s <= n < (s+1)*(s+1).
-
-    >>> isqrt(15)
-    3
-    """
-    if n < 0:
-        raise ValueError("isqrt of a negative integer")
-    return math.isqrt(n)
-
-
 def is_square(n: int) -> bool:
     """True exactly when n = s*s for some integer s >= 0."""
     if n < 0:
         return False
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r * r == n
 
 
@@ -201,7 +193,7 @@ def primes_upto(n: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
+    for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             start = p * p
             sieve[start :: p] = bytearray(len(range(start, n + 1, p)))
@@ -352,7 +344,7 @@ def _sieve_progression(a: int, n: int) -> tuple[list[list[tuple[int, int]]], lis
         v = (m & -m).bit_length() - 1
         rest.append(m >> v)
         found.append([(2, v)])
-    bound = math.isqrt(max(abs(a), abs(a - 4 * (n - 1))))
+    bound = isqrt(max(abs(a), abs(a - 4 * (n - 1))))
     for p, inv4 in _sieve_primes():
         if p > bound:
             break

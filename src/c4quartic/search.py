@@ -17,9 +17,11 @@ the ``on_skip`` callback instead.
 
 A dense walk that writes CSV, or keeps only monogenic cells, decides before
 it factors the rest of e: a reducible cell, or one the closed form of the
-index criterion sinks at a prime below 1000, gets its CSV row at once, or
-is dropped.  Such a cell never reaches the factorizer's Brent tail, so a
-give-up there cannot happen to it.
+index criterion sinks at a prime below 1000, becomes the record
+(b, d, e, p), with p that prime, or None for a reducible cell.
+``monogenic_only`` drops the record, since such a cell is never monogenic,
+and CSV writes its row.  Such a cell never reaches the factorizer's Brent
+tail, so a give-up there cannot happen to it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Generator, Iterable, Iterator
+from typing import Callable, Generator, Iterator
 
 from .fields import distinct_fields
 from .index_criterion import PrimeVerdict, _small_index_prime, _verdict
@@ -117,33 +119,43 @@ def iter_box(
     Error records always pass through the filters.
     """
     _check_box(b_min, b_max, d_min, d_max)
-    # JSON is the format that carries whole reports: no cell becomes a row
-    return _items(b_min, b_max, d_min, d_max, c4_only, monogenic_only, "json")
+    # it decides only where monogenic_only drops what it settles, so every
+    # item is a report or an error record
+    return _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, monogenic_only)
 
 
-# an item of a search stream: a report, an error record, or (in a dense CSV
-# walk) the CSV row of a cell decided before factoring
-_Item = MonogenicityReport | SearchError | str
+# a cell a deciding dense walk settled before factoring: (b, d, e, p), with p
+# the least prime dividing its index, or None for a reducible cell
+_Settled = tuple[int, int, int, int | None]
+
+# an item of a search stream: a report, an error record, or a settled cell
+_Item = MonogenicityReport | SearchError | _Settled
 
 
 def _items(
-    b_min: int, b_max: int, d_min: int, d_max: int, c4_only: bool, monogenic_only: bool, fmt: str
+    b_lo: int,
+    b_hi: int,
+    d_min: int,
+    d_max: int,
+    c4_only: bool,
+    cells: list[tuple[int, int]] | None,
+    d_counts: _DTable,
+    monogenic_only: bool,
+    decide: bool,
 ) -> Iterator[_Item]:
-    # unchecked body of iter_box and of a one-process search_lines: the box
-    # is non-empty; strings come only with fmt "csv"
+    # unchecked body of iter_box and of every search: the items of rows
+    # b_lo..b_hi, each cell of them, or, with c4_only, their C4 cells, which
+    # are the given cells or else the scan's.  A settled cell is never
+    # monogenic
     if c4_only:
-        items = (_cell_report(b, d) for b, d in scan_c4(b_min, b_max, d_min, d_max))
+        if cells is None:
+            cells = scan_c4(b_lo, b_hi, d_min, d_max)
+        items = (_cell_report(b, d) for b, d in cells)
     else:
-        items = _dense_items(b_min, b_max, d_min, d_max, {}, _settle(fmt, monogenic_only))
-    yield from _kept(items, monogenic_only)
-
-
-def _kept(items: Iterable[_Item], monogenic_only: bool) -> Iterator[_Item]:
+        items = _dense_items(b_lo, b_hi, d_min, d_max, d_counts, decide)
     for item in items:
-        if (
-            monogenic_only
-            and isinstance(item, MonogenicityReport)
-            and not item.monogenic
+        if monogenic_only and (
+            isinstance(item, tuple) or isinstance(item, MonogenicityReport) and not item.monogenic
         ):
             continue
         yield item
@@ -158,11 +170,6 @@ _SEGMENT = 64
 # the discriminant 16*d*e^2, or the factorizer's give-up
 _DTable = dict[int, dict[int, int] | FactorizationIncomplete]
 
-# how a dense walk settles a cell decided before factoring, from (b, d, e,
-# p), with p the least prime dividing the index, or None for a reducible
-# cell: the item to yield, or None to drop the cell
-_Settle = Callable[[int, int, int, int | None], str | None]
-
 
 def _dense_items(
     b_min: int,
@@ -170,18 +177,18 @@ def _dense_items(
     d_min: int,
     d_max: int,
     d_counts: _DTable,
-    settle: _Settle | None,
+    decide: bool,
 ) -> Iterator[_Item]:
     # every cell, row by row, with factorizations shared across the walk.
     # Each d is factored once, on first use, and kept in d_counts (or its
     # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
     # down by 4 and is sieved segment by segment; d and the rest of e wait
     # for their cell, and that rest goes to the factorizer's Brent tail, as
-    # in factor.  With settle, a cell that is reducible, or whose index a
+    # in factor.  With decide, a cell that is reducible, or whose index a
     # prime below 1000 divides, is decided from d's table and the sieve
-    # before that tail, and settle says what becomes of it.  The sparse c4
-    # walk stays per cell, where a sieve would cost more than the few cells
-    # it serves
+    # before that tail, and yielded as its record (b, d, e, p).  The sparse
+    # c4 walk stays per cell, where a sieve would cost more than the few
+    # cells it serves
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
@@ -205,13 +212,11 @@ def _dense_items(
                 if isinstance(got, FactorizationIncomplete):
                     yield SearchError(Trinomial(b, d), str(got))
                     continue
-                if settle is not None:
+                if decide:
                     irreducible = _irreducible(b, d, e)
                     p = _small_index_prime(b, d, got, found[i]) if irreducible else None
                     if p is not None or not irreducible:
-                        row = settle(b, d, e, p)
-                        if row is not None:
-                            yield row
+                        yield b, d, e, p
                         continue
                 counts = dict(got)
                 for p, j in found[i]:
@@ -226,11 +231,6 @@ def _dense_items(
                 yield _report(Trinomial(b, d), fact)
 
 
-def _drop(b: int, d: int, e: int, p: int | None) -> None:
-    # under monogenic_only a cell decided before factoring is never monogenic
-    return None
-
-
 def _settled_csv(b: int, d: int, e: int, p: int | None) -> str:
     # the row format_item writes for this cell's report: reducible when p is
     # None, else sunk at p
@@ -238,14 +238,6 @@ def _settled_csv(b: int, d: int, e: int, p: int | None) -> str:
     if p is None:
         return _csv_row(b, d, False, False, disc, False, None, None)
     return _csv_row(b, d, True, _c4(d, e), disc, False, _signature(b, d, e), p)
-
-
-def _settle(fmt: str, monogenic_only: bool) -> _Settle | None:
-    # what a dense walk does with a cell it decides before factoring; None
-    # for an unfiltered JSON walk, whose lines print every verdict
-    if monogenic_only:
-        return _drop
-    return _settled_csv if fmt == "csv" else None
 
 
 def _bool_str(v: bool) -> str:
@@ -344,9 +336,9 @@ def _csv_row(
 def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> Iterator[str]:
     """One line per item; each item the format cannot carry goes to ``on_skip``."""
     for item in items:
-        if isinstance(item, str):
-            # a CSV row the dense walk wrote itself
-            yield item
+        if isinstance(item, tuple):
+            # a settled cell, which only a CSV search keeps
+            yield _settled_csv(*item)
             continue
         line = format_item(item, fmt)
         if line is None:
@@ -381,17 +373,15 @@ def _lines_for_range(
     d_max: int,
     cells: list[tuple[int, int]] | None,
     monogenic_only: bool,
+    decide: bool,
     fmt: str,
 ) -> tuple[list[str], list[str]]:
-    # one chunk in a pool worker: every cell of rows b_lo..b_hi, or, for a
-    # c4 search, the candidate cells of those rows
-    if cells is None:
-        table = _d_table(d_min, d_max)
-        items = _dense_items(b_lo, b_hi, d_min, d_max, table, _settle(fmt, monogenic_only))
-    else:
-        items = (_cell_report(b, d) for b, d in cells)
+    # one chunk in a pool worker, whole: the lines of rows b_lo..b_hi, or,
+    # for a c4 search, of the candidate cells of those rows
+    table = _d_table(d_min, d_max)
+    items = _items(b_lo, b_hi, d_min, d_max, cells is not None, cells, table, monogenic_only, decide)
     skips: list[str] = []
-    return list(_lines(_kept(items, monogenic_only), fmt, skips.append)), skips
+    return list(_lines(items, fmt, skips.append)), skips
 
 
 def _chunks(
@@ -448,8 +438,11 @@ def search_lines(
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     _check_box(b_min, b_max, d_min, d_max)
     skip = on_skip or (lambda msg: None)
+    # a CSV row needs no report, and a monogenic_only search drops the cell
+    decide = fmt == "csv" or monogenic_only
     if workers == 1:
-        return _lines(_items(b_min, b_max, d_min, d_max, c4_only, monogenic_only, fmt), fmt, skip)
+        items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, decide)
+        return _lines(items, fmt, skip)
 
     def stream() -> Iterator[str]:
         chunks = _chunks(b_min, b_max, d_min, d_max, c4_only, workers)
@@ -461,7 +454,7 @@ def search_lines(
 
         def submit(chunk: tuple) -> Future:
             b_lo, b_hi, cells = chunk
-            args = (b_lo, b_hi, d_min, d_max, cells, monogenic_only, fmt)
+            args = (b_lo, b_hi, d_min, d_max, cells, monogenic_only, decide, fmt)
             return pool.submit(_lines_for_range, *args)
 
         try:

@@ -319,7 +319,7 @@ class TestDecideBeforeFactoring:
         assert _cell_report(b, d).failing_prime() == 1009
         assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
 
-    def test_a_decided_cell_cannot_give_up_on_e(self, monkeypatch):
+    def test_a_decided_cell_cannot_give_up_on_e(self, monkeypatch, serial_pool):
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
         # on this row the factorizer gives up on e at d = 30, 31, 33 and 35
         # under this budget; 2 divides the index at d = 30 and 33, and the
@@ -329,18 +329,22 @@ class TestDecideBeforeFactoring:
         for d in (30, 31, 33, 35):
             assert isinstance(_cell_report(b, d), SearchError)
         assert [is_decided(_cell_report(b, d)) for d in (32, 34, 36)] == [True] * 3
-        skips = []
-        csv = list(search_lines(*box, fmt="csv", on_skip=skips.append))
-        # CSV prints the decided cells and skips only the open ones
-        assert [int(line.split(",")[1]) for line in csv] == [30, 32, 33, 34, 36]
-        assert [msg.split(":")[0] for msg in skips] == [f"b={b} d=31", f"b={b} d=35"]
-        for line in csv:
-            assert line.split(",")[5] == "false" and line.endswith(",2")
-        # monogenic_only drops them, and passes the open give-ups through
-        assert list(iter_box(*box, monogenic_only=True)) == [
-            _cell_report(b, 31),
-            _cell_report(b, 35),
-        ]
+        open_give_ups = [_cell_report(b, 31), _cell_report(b, 35)]
+        # with two workers the row is one pool chunk, run in this process by
+        # the serial pool, so the small budget holds there too
+        for workers in (1, 2):
+            skips = []
+            csv = list(search_lines(*box, fmt="csv", workers=workers, on_skip=skips.append))
+            # CSV prints the decided cells and skips only the open ones
+            assert [int(line.split(",")[1]) for line in csv] == [30, 32, 33, 34, 36]
+            assert [msg.split(":")[0] for msg in skips] == [f"b={b} d=31", f"b={b} d=35"]
+            for line in csv:
+                assert line.split(",")[5] == "false" and line.endswith(",2")
+            # monogenic_only drops them, and passes the open give-ups through
+            mono = list(search_lines(*box, monogenic_only=True, workers=workers))
+            assert mono == [format_item(item, "json") for item in open_give_ups]
+        assert len(serial_pool) == 2
+        assert list(iter_box(*box, monogenic_only=True)) == open_give_ups
         # unfiltered JSON still carries every give-up as an error record
         errors = [item.trinomial.d for item in iter_box(*box) if isinstance(item, SearchError)]
         assert errors == [30, 31, 33, 35]
