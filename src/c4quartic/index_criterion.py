@@ -32,9 +32,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .gfq import Coeffs, _gcd, _trim
-from .intarith import _TRIAL_LIMIT, is_prime
+from .intarith import is_prime
 from .trinomial import Trinomial, _json_form, discriminant, is_irreducible
 
 __all__ = [
@@ -160,21 +161,21 @@ def _verdict(t: Trinomial, q: int) -> PrimeVerdict:
 
 
 # the classes of (b mod 4, d mod 4) on which 2 divides the index; see
-# _small_index_prime for the derivation from branches 1 to 4
+# _least_index_prime for the derivation from branches 1 to 4
 _FAILS_AT_2 = frozenset({(0, 0), (2, 0), (0, 3), (2, 1), (1, 0), (1, 2), (3, 0), (1, 1)})
 
 
-def _small_index_prime(
-    b: int, d: int, d_counts: dict[int, int], e_found: list[tuple[int, int]]
+def _least_index_prime(
+    b: int, d: int, d_counts: dict[int, int], e_counts: Iterable[tuple[int, int]]
 ) -> int | None:
-    """The least prime below ``intarith._TRIAL_LIMIT`` dividing the index, or None.
+    """The least prime dividing the index among 2 and the primes listed, or None.
 
     Unchecked: x^4 + b*x^2 + d is irreducible (so d and e = b^2 - 4d are
-    nonzero); ``d_counts`` holds v_p(d) for every odd prime p | d below the
-    limit; ``e_found`` holds (p, v_p(e)) for every odd prime p below the
-    limit with p^2 | e.  Both may hold more: 2 and the primes above the
-    limit are not read.  A dense walk has both at hand before it factors
-    what is left of e: its d table and the segment sieve's found list.
+    nonzero); ``d_counts`` maps odd primes p to v_p(d), and ``e_counts``
+    holds pairs (p, v_p(e)).  Entries for 2 are not read, and a prime whose
+    valuation is at most 1 may be left out.  A dense walk has both at hand:
+    its d table, and the segment sieve's found list for e, with the Brent
+    tail's primes of the rest of e added once it has run.
 
     The five branches reduce to a closed form, prime by prime:
 
@@ -202,15 +203,17 @@ def _small_index_prime(
       q^2 | b^2 - e = 4d.  A q with q^2 | d or q^2 | e divides disc, so
       these are all the odd primes dividing the index.
 
-    The answer is the failing prime of the cell's report whenever it is not
-    None: every prime below the limit is read here, and the report takes
-    the least failing prime.  None says nothing about the primes above the
-    limit.
+    Every prime returned divides the index.  It is the cell's failing
+    prime, the least prime dividing the index, when the tables list every
+    q below it with q^2 | d or q^2 | e: with the full factorizations of d
+    and e that holds everywhere, and None then means monogenic.  With all
+    of d and the primes of e below 1000, as a dense walk has them before
+    its Brent tail, it holds for an answer below 1000.
     """
     if (b % 4, d % 4) in _FAILS_AT_2:
         return 2
-    pairs = itertools.chain(d_counts.items(), e_found)
-    return min((p for p, j in pairs if j > 1 and 2 < p < _TRIAL_LIMIT), default=None)
+    pairs = itertools.chain(d_counts.items(), e_counts)
+    return min((p for p, j in pairs if j > 1 and p > 2), default=None)
 
 
 def prime_index_test(t: Trinomial, q: int) -> PrimeVerdict:

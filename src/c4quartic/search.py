@@ -15,13 +15,17 @@ carries them inline as ``{"trinomial": ..., "error": ...}`` lines; CSV has
 no column for them, so they are dropped from the stream and reported through
 the ``on_skip`` callback instead.
 
-A dense walk that writes CSV, or keeps only monogenic cells, decides before
-it factors the rest of e: a reducible cell, or one the closed form of the
-index criterion sinks at a prime below 1000, becomes the record
-(b, d, e, p), with p that prime, or None for a reducible cell.
-``monogenic_only`` drops the record, since such a cell is never monogenic,
-and CSV writes its row.  Such a cell never reaches the factorizer's Brent
-tail, so a give-up there cannot happen to it.
+A dense walk that writes CSV, or keeps only monogenic cells, decides every
+cell from the closed form of the index criterion and yields the record
+(b, d, e, v): v is None for a reducible cell, the least prime dividing the
+index for a failing one, and the discriminant's factorization for a
+monogenic one.  A reducible cell, or one sunk at a prime below 1000, is
+decided before the rest of e is factored, so it never reaches the
+factorizer's Brent tail, and a give-up there cannot happen to it; every
+other cell is decided once that tail has run.  CSV writes every row from
+its record.  ``monogenic_only`` keeps only the monogenic records, and a
+report is built from the factorization a record carries only where one is
+printed: in a JSON stream, or by ``iter_box``.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from itertools import islice
 from typing import Callable, Generator, Iterator
 
 from .fields import distinct_fields
-from .index_criterion import PrimeVerdict, _small_index_prime, _verdict
+from .index_criterion import PrimeVerdict, _least_index_prime, _verdict
 from .dedekind import _divides_index
 from .intarith import (
+    _TRIAL_LIMIT,
     Factorization,
     FactorizationIncomplete,
     _factor_into,
@@ -119,17 +124,28 @@ def iter_box(
     Error records always pass through the filters.
     """
     _check_box(b_min, b_max, d_min, d_max)
-    # it decides only where monogenic_only drops what it settles, so every
-    # item is a report or an error record
-    return _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, monogenic_only)
+    # it decides only where monogenic_only keeps no record but a monogenic
+    # one, whose report is built here
+    items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, monogenic_only)
+    return map(_reported, items)
 
 
-# a cell a deciding dense walk settled before factoring: (b, d, e, p), with p
-# the least prime dividing its index, or None for a reducible cell
-_Settled = tuple[int, int, int, int | None]
+# a cell a deciding dense walk decided: (b, d, e, v), with v None for a
+# reducible cell, the least prime dividing the index for a failing one, and
+# the factorization of the discriminant for a monogenic one
+_Decided = tuple[int, int, int, int | Factorization | None]
 
-# an item of a search stream: a report, an error record, or a settled cell
-_Item = MonogenicityReport | SearchError | _Settled
+# an item of a search stream: a report, an error record, or a decided cell
+_Item = MonogenicityReport | SearchError | _Decided
+
+
+def _reported(item: _Item) -> MonogenicityReport | SearchError:
+    # a report in place of a monogenic record, the only kind a filtered walk
+    # keeps; any other item as it is
+    if isinstance(item, tuple):
+        b, d, _, fact = item
+        return _report(Trinomial(b, d), fact)
+    return item
 
 
 def _items(
@@ -145,8 +161,8 @@ def _items(
 ) -> Iterator[_Item]:
     # unchecked body of iter_box and of every search: the items of rows
     # b_lo..b_hi, each cell of them, or, with c4_only, their C4 cells, which
-    # are the given cells or else the scan's.  A settled cell is never
-    # monogenic
+    # are the given cells or else the scan's.  A record is monogenic exactly
+    # when it carries a factorization
     if c4_only:
         if cells is None:
             cells = scan_c4(b_lo, b_hi, d_min, d_max)
@@ -155,7 +171,8 @@ def _items(
         items = _dense_items(b_lo, b_hi, d_min, d_max, d_counts, decide)
     for item in items:
         if monogenic_only and (
-            isinstance(item, tuple) or isinstance(item, MonogenicityReport) and not item.monogenic
+            isinstance(item, tuple) and not isinstance(item[3], Factorization)
+            or isinstance(item, MonogenicityReport) and not item.monogenic
         ):
             continue
         yield item
@@ -184,11 +201,12 @@ def _dense_items(
     # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
     # down by 4 and is sieved segment by segment; d and the rest of e wait
     # for their cell, and that rest goes to the factorizer's Brent tail, as
-    # in factor.  With decide, a cell that is reducible, or whose index a
-    # prime below 1000 divides, is decided from d's table and the sieve
-    # before that tail, and yielded as its record (b, d, e, p).  The sparse
-    # c4 walk stays per cell, where a sieve would cost more than the few
-    # cells it serves
+    # in factor.  With decide, every cell is decided by the closed form of
+    # the index criterion and yielded as its record (b, d, e, v): a cell
+    # that is reducible, or whose index a prime below 1000 divides, from d's
+    # table and the sieve, before that tail; any other from d's table and
+    # all of e, after it.  The sparse c4 walk stays per cell, where a sieve
+    # would cost more than the few cells it serves
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
@@ -198,8 +216,9 @@ def _dense_items(
                 d = lo + i
                 e = bb - 4 * d
                 if d == 0 or e == 0:
-                    # the per-cell route factors nothing here
-                    yield _cell_report(b, d)
+                    # the per-cell route factors nothing here, and e = 0 is
+                    # reducible
+                    yield (b, d, e, None) if decide and d else _cell_report(b, d)
                     continue
                 got = d_counts.get(d)
                 if got is None:
@@ -212,32 +231,44 @@ def _dense_items(
                 if isinstance(got, FactorizationIncomplete):
                     yield SearchError(Trinomial(b, d), str(got))
                     continue
+                e_counts = found[i]
                 if decide:
-                    irreducible = _irreducible(b, d, e)
-                    p = _small_index_prime(b, d, got, found[i]) if irreducible else None
-                    if p is not None or not irreducible:
+                    if not _irreducible(b, d, e):
+                        yield b, d, e, None
+                        continue
+                    p = _least_index_prime(b, d, got, e_counts)
+                    if p is not None and p < _TRIAL_LIMIT:
                         yield b, d, e, p
                         continue
-                counts = dict(got)
-                for p, j in found[i]:
-                    counts[p] = counts.get(p, 0) + 2 * j
                 if rest[i] > 1:
+                    tail: dict[int, int] = {}
                     try:
-                        _factor_tail(e, rest[i], counts, 2)
+                        _factor_tail(e, rest[i], tail, 1)
                     except FactorizationIncomplete as exc:
                         yield SearchError(Trinomial(b, d), str(exc))
                         continue
+                    e_counts = e_counts + list(tail.items())
+                if decide:
+                    p = _least_index_prime(b, d, got, e_counts)
+                    if p is not None:
+                        yield b, d, e, p
+                        continue
+                counts = dict(got)
+                for p, j in e_counts:
+                    counts[p] = counts.get(p, 0) + 2 * j
                 fact = Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
-                yield _report(Trinomial(b, d), fact)
+                yield (b, d, e, fact) if decide else _report(Trinomial(b, d), fact)
 
 
-def _settled_csv(b: int, d: int, e: int, p: int | None) -> str:
-    # the row format_item writes for this cell's report: reducible when p is
-    # None, else sunk at p
+def _settled_csv(b: int, d: int, e: int, v: int | Factorization | None) -> str:
+    # the row format_item writes for this cell's report: reducible when v is
+    # None, monogenic when it is a factorization, else sunk at v
     disc = 16 * d * e * e
-    if p is None:
+    if v is None:
         return _csv_row(b, d, False, False, disc, False, None, None)
-    return _csv_row(b, d, True, _c4(d, e), disc, False, _signature(b, d, e), p)
+    if isinstance(v, Factorization):
+        return _csv_row(b, d, True, _c4(d, e), disc, True, _signature(b, d, e), None)
+    return _csv_row(b, d, True, _c4(d, e), disc, False, _signature(b, d, e), v)
 
 
 def _bool_str(v: bool) -> str:
@@ -337,9 +368,11 @@ def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> 
     """One line per item; each item the format cannot carry goes to ``on_skip``."""
     for item in items:
         if isinstance(item, tuple):
-            # a settled cell, which only a CSV search keeps
-            yield _settled_csv(*item)
-            continue
+            if fmt == "csv":
+                yield _settled_csv(*item)
+                continue
+            # a monogenic cell of a filtered JSON walk
+            item = _reported(item)
         line = format_item(item, fmt)
         if line is None:
             assert isinstance(item, SearchError)
@@ -438,7 +471,8 @@ def search_lines(
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     _check_box(b_min, b_max, d_min, d_max)
     skip = on_skip or (lambda msg: None)
-    # a CSV row needs no report, and a monogenic_only search drops the cell
+    # a CSV row needs no report, and a monogenic_only search needs one only
+    # for the cells it keeps
     decide = fmt == "csv" or monogenic_only
     if workers == 1:
         items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, decide)

@@ -8,9 +8,12 @@ through ``is_monogenic``, which factors d and e by trial division
 reports carry equal factorizations.  Give-ups are checked against the
 package-independent ``factor_discriminant_reference``.
 
-A CSV or ``monogenic_only`` walk decides a reducible cell, or one whose
-index a prime below 1000 divides, before it factors the rest of e; its
-stream must still equal the per-cell route's, formatted and filtered.
+A CSV or ``monogenic_only`` walk decides every cell from the closed form of
+the index criterion: a reducible cell, or one whose index a prime below
+1000 divides, before it factors the rest of e, and any other after.  Its
+stream must still equal the per-cell route's, formatted and filtered, and
+it builds a report only for a monogenic cell that a filtered JSON stream
+or ``iter_box`` prints.
 """
 
 import pytest
@@ -271,10 +274,12 @@ class TestDecideBeforeFactoring:
         decided = [r for r in by_e.values() if is_decided(r)]
         assert 0 < len(decided) < len(by_e)
         assert not any(is_decided(by_e[args[0]]) for args in tails)
-        assert len(reports) == len(by_e) - len(decided)
-        assert {args[0] for args in reports} == {
-            r.trinomial for r in by_e.values() if not is_decided(r)
-        }
+        # each e at most once
+        assert len({args[0] for args in tails}) == len(tails)
+        # a report only where one is printed: a monogenic cell of the JSON stream
+        monogenic = {r.trinomial for r in by_e.values() if r.monogenic}
+        assert 0 < len(monogenic) <= len(by_e) - len(decided)
+        assert [args[0] for args in reports] == ([] if fmt == "csv" else sorted(monogenic))
 
     def test_benchmark_box_spares_the_tail_and_the_placeholders(self, monkeypatch):
         # each number the walk factors past trial division: the d table's
@@ -289,17 +294,21 @@ class TestDecideBeforeFactoring:
             return skipped(prime)
 
         monkeypatch.setattr(PrimeVerdict, "skipped", classmethod(counting_skipped))
+        reports = count_calls(monkeypatch, search, "_report")
         cells = len(cells_of(*BENCHMARK_BOX))
         lines = list(search_lines(*BENCHMARK_BOX, fmt="csv"))
+        assert placeholders == []
+        assert reports == []
         assert len(lines) == cells
         assert len(d_tails) + len(e_tails) <= 0.4 * cells
-        # one cell fails above the trial primes, at 1109, so it takes the
-        # full route, whose report marks its last prime unevaluated
+        # one cell fails above the trial primes, at 1109; the closed form
+        # finds it once the Brent tail has factored e, and the placeholder
+        # the per-cell report gives its last prime is never built
         assert [line for line in lines if line.endswith(",1109")] == [
             "100089,1000000047,true,false,579424185814609041962658665328,false,0,2,1109"
         ]
         assert 1000000047 == 3 * 333333349
-        assert placeholders == [333333349]
+        assert _cell_report(100089, 1000000047).verdicts[-1] == PrimeVerdict.skipped(333333349)
 
     @pytest.mark.parametrize(
         "b, d",
@@ -308,16 +317,47 @@ class TestDecideBeforeFactoring:
             (1, 3 * 933241),  # e = -11 * 1009^2: a square in the rest of e
         ],
     )
-    def test_a_failing_prime_above_1000_takes_the_full_route(self, monkeypatch, b, d):
+    def test_a_failing_prime_above_1000_is_decided_after_the_brent_tail(self, monkeypatch, b, d):
         box = (b, b, d - 2, d + 2)
         want = [_cell_report(b, x) for x in range(d - 2, d + 3)]
+        tails = count_calls(monkeypatch, search, "_factor_tail")
         reports = count_calls(monkeypatch, search, "_report")
         for fmt, monogenic_only in (("csv", False), ("json", True)):
             got = list(search_lines(*box, fmt=fmt, monogenic_only=monogenic_only))
             assert got == per_cell_lines(want, fmt, monogenic_only)[0]
-        assert [args[0].d for args in reports].count(d) == 2
+        # the rest of its e reaches the tail once per walk, and no report is built
+        assert [args[0] for args in tails].count(b * b - 4 * d) == 2
+        assert [args[0].d for args in reports].count(d) == 0
         assert _cell_report(b, d).failing_prime() == 1009
         assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
+
+    # cells whose factors above the trial primes decide them, each with the
+    # number the Brent tail has to split: the d table's own, or the rest of e
+    ABOVE_1000 = [
+        # d = 1009^2 * 1013, so the d table's tail finds the square
+        (3, 1009**2 * 1013, 1009, "d", 1009**2 * 1013),
+        # e = 1009^2 * 1013
+        (1, -257829013, 1009, "e", 1009**2 * 1013),
+        # monogenic, with e = 1009 * 1013
+        (1, -255529, None, "e", 1009 * 1013),
+    ]
+
+    @pytest.mark.parametrize("b, d, failing, part, tail", ABOVE_1000)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_primes_above_1000_decide_the_cell(
+        self, monkeypatch, serial_pool, b, d, failing, part, tail, workers
+    ):
+        report = _cell_report(b, d)
+        assert report.irreducible and report.failing_prime() == failing
+        assert report.monogenic == (failing is None)
+        tails = count_calls(monkeypatch, intarith if part == "d" else search, "_factor_tail")
+        # three rows, so two workers get two chunks, both run in this process
+        check_decided_box((b - 1, b + 1, d - 3, d + 3), workers)
+        n = b * b - 4 * d if part == "e" else d
+        assert (n, tail) in [args[:2] for args in tails]
+        # one pool for each of the three searches
+        assert len(serial_pool) == (3 if workers == 2 else 0)
+        assert all(len(pool.submitted) == 2 for pool in serial_pool)
 
     def test_a_decided_cell_cannot_give_up_on_e(self, monkeypatch, serial_pool):
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)

@@ -6,7 +6,7 @@ from c4quartic.index_criterion import (
     _FAILS_AT_2,
     PrimeVerdict,
     _branch_4_mod4,
-    _small_index_prime,
+    _least_index_prime,
     _verdict,
     prime_index_test,
 )
@@ -196,15 +196,12 @@ def lift_free_at_2(b, d, m):
     raise AssertionError(f"no lift of {(b, d)} mod {m} free at 2")
 
 
-def small_index_prime_of(t):
-    """The criterion on a cell's full factorizations of d and e."""
+def least_index_prime_of(t, e_below=None):
+    """The criterion on a cell's full factorization of d and that of e, or
+    only e's primes below ``e_below``."""
     e = t.b * t.b - 4 * t.d
-    return _small_index_prime(t.b, t.d, dict(factor(t.d).factors), list(factor(e).factors))
-
-
-def least_failing_prime_below_1000(t):
-    p = is_monogenic(t).failing_prime()
-    return p if p is not None and p < 1000 else None
+    e_counts = [(p, j) for p, j in factor(e).factors if e_below is None or p < e_below]
+    return _least_index_prime(t.b, t.d, dict(factor(t.d).factors), e_counts)
 
 
 class TestSmallIndexPrime:
@@ -231,7 +228,7 @@ class TestSmallIndexPrime:
                 b, d = t.b, t.d
                 assert (b % qq, d % qq) == (b0, d0)
                 closed = closed_form_divides_index(b, d, q)
-                got = _small_index_prime(b, d, d_counts, e_found)
+                got = _least_index_prime(b, d, d_counts, e_found)
                 assert got == (q if closed else None), (b, d, q)
                 if discriminant(t) % q == 0:
                     assert closed == _verdict(t, q).divides_index, (b, d, q)
@@ -245,7 +242,7 @@ class TestSmallIndexPrime:
             for d in range(-30, 31):
                 t = Trinomial(b, d)
                 if d and is_irreducible(t):
-                    assert small_index_prime_of(t) == least_failing_prime_below_1000(t), (b, d)
+                    assert least_index_prime_of(t) == is_monogenic(t).failing_prime(), (b, d)
 
     @settings(max_examples=200)
     @given(
@@ -255,7 +252,7 @@ class TestSmallIndexPrime:
     def test_random_cells(self, b, d):
         t = Trinomial(b, d)
         if d and is_irreducible(t):
-            assert small_index_prime_of(t) == least_failing_prime_below_1000(t)
+            assert least_index_prime_of(t) == is_monogenic(t).failing_prime()
 
     @pytest.mark.parametrize(
         "b, d",
@@ -265,12 +262,15 @@ class TestSmallIndexPrime:
         ],
     )
     def test_a_failing_prime_above_1000_is_left_open(self, b, d):
-        # the first failing prime lies above the trial primes, so the
-        # criterion has nothing to say, and the full route must find it
+        # the first failing prime lies above the trial primes, so on all of
+        # d and e's primes below 1000, what a dense walk holds before its
+        # Brent tail, the criterion names no prime below 1000, only 1009^2
+        # in d; on all of e it names the failing prime
         t = Trinomial(b, d)
         assert is_irreducible(t)
         assert is_monogenic(t).failing_prime() == 1009
-        assert small_index_prime_of(t) is None
+        assert least_index_prime_of(t, e_below=1000) == (1009 if d % 1009 == 0 else None)
+        assert least_index_prime_of(t) == 1009
 
 
 class TestValidation:
