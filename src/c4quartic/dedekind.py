@@ -16,6 +16,13 @@ multiple of gcd(g, h) mod q, and the gcd with it is unchanged.  This
 module lifts each P_m with coefficients in [0, q), so g*h is the integer
 product of the lifted P_m^m.  Agreement between the two routes on random and
 exhaustive samples is what certifies the branch engine.
+
+Given these lifts, the verdict depends only on (b, d) mod q^2.  The P_m
+come from f mod q, and so do their lifts, g*h included.  Replacing (b, d)
+by (b + i*q^2, d + j*q^2) adds q^2*(i*x^2 + j) to f and leaves g*h as it
+is, so F changes by q*(i*x^2 + j), which is 0 mod q.  Both F mod q and
+the P_m are therefore fixed by the class, and with them the gcd.
+``oracle_check`` relies on this to compute the verdict once per class.
 """
 
 from __future__ import annotations

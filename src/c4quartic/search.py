@@ -598,9 +598,12 @@ def oracle_check(
     Draws (b, d) uniformly from the box until ``samples`` irreducible
     trinomials are found, then runs both index tests at every prime
     q <= prime_cap dividing the discriminant; agreements count (t, q)
-    pairs.  Sampling is seeded and fully reproducible.  Rejection sampling
-    gives up once attempts far exceed ``samples``, so a box with few
-    usable cells yields fewer samples rather than a hang.
+    pairs.  The Dedekind verdict at q depends only on (b, d) mod q^2 (see
+    :mod:`.dedekind`), so each call computes it once per such class and
+    reuses it for every later pair in the class; the engine still runs on
+    every pair.  Sampling is seeded and fully reproducible.  Rejection
+    sampling gives up once attempts far exceed ``samples``, so a box with
+    few usable cells yields fewer samples rather than a hang.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
@@ -611,6 +614,9 @@ def oracle_check(
     small_primes = primes_upto(prime_cap)
     sampled = agreements = 0
     disagreements: list[Disagreement] = []
+    # Dedekind verdict per (q, b mod q^2, d mod q^2); local, so no call
+    # sees another's verdicts
+    oracle_by_class: dict[tuple[int, int, int], bool] = {}
     max_attempts = max(1000, 200 * samples)
     for _ in range(max_attempts):
         if sampled >= samples:
@@ -628,7 +634,11 @@ def oracle_check(
             # t is irreducible and q a prime dividing disc(t): the
             # preconditions of both unchecked cores hold
             engine = _verdict(t, q)
-            oracle = _divides_index(t, q)
+            qq = q * q
+            key = (q, b % qq, d % qq)
+            oracle = oracle_by_class.get(key)
+            if oracle is None:
+                oracle = oracle_by_class[key] = _divides_index(t, q)
             if engine.divides_index == oracle:
                 agreements += 1
             else:

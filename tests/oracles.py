@@ -8,7 +8,8 @@ validating public entry points alone: ``is_monogenic_reference``, the slow
 reference for the single pass inside ``is_monogenic``, and
 ``factor_discriminant_reference``, which factors d and b^2 - 4d apart with
 the public ``factor`` and merges them, the reference for the one count
-table inside ``factor_discriminant``.
+table inside ``factor_discriminant``, and ``oracle_check_reference``, which
+runs both public index tests on every pair that ``oracle_check`` samples.
 """
 
 from __future__ import annotations
@@ -439,3 +440,41 @@ def is_monogenic_reference(t):
         field_disc=disc if not blocked else None,
         signature=signature(t),
     )
+
+
+def oracle_check_reference(samples, seed, b_min, b_max, d_min, d_max, prime_cap=97):
+    """``oracle_check`` as a plain loop: both public index tests on every pair.
+
+    Draws the same seeded samples as the package, but runs
+    ``prime_index_test`` and ``dedekind_divides_index`` afresh on each
+    (t, q) pair, with no reuse of a verdict across pairs.
+    """
+    import random
+
+    from c4quartic.dedekind import dedekind_divides_index
+    from c4quartic.index_criterion import prime_index_test
+    from c4quartic.intarith import primes_upto
+    from c4quartic.search import Disagreement, OracleCheckResult
+    from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
+
+    rng = random.Random(seed)
+    sampled = agreements = 0
+    disagreements = []
+    for _ in range(max(1000, 200 * samples)):
+        if sampled >= samples:
+            break
+        t = Trinomial(rng.randint(b_min, b_max), rng.randint(d_min, d_max))
+        if not is_irreducible(t):
+            continue
+        sampled += 1
+        disc = discriminant(t)
+        for q in primes_upto(prime_cap):
+            if disc % q:
+                continue
+            engine = prime_index_test(t, q)
+            oracle = dedekind_divides_index(t, q)
+            if engine.divides_index == oracle:
+                agreements += 1
+            else:
+                disagreements.append(Disagreement(t, q, engine, oracle))
+    return OracleCheckResult(samples, sampled, agreements, tuple(disagreements))

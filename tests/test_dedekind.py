@@ -9,7 +9,7 @@ from c4quartic.monogenic import factor_discriminant
 from c4quartic.scan import scan_c4_candidates
 from c4quartic.search import oracle_check
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
-from oracles import dedekind_bruteforce
+from oracles import dedekind_bruteforce, oracle_check_reference
 
 coeffs = st.integers(min_value=-150, max_value=150)
 large_coeffs = st.integers(min_value=-(10**12), max_value=10**12)
@@ -89,17 +89,27 @@ class TestAgainstOracles:
 
     def test_full_factorization_route_on_oracle_check_pairs(self, monkeypatch):
         # the (t, q) pairs of `oracle-check --samples 2000 --seed 1` with
-        # bound 10^6, every prime q <= 97 dividing the discriminant
+        # bound 10^6, every prime q <= 97 dividing the discriminant.  The
+        # engine still runs once per pair, so the pairs are recorded there;
+        # the Dedekind route runs once per class of (q, b mod q^2, d mod q^2)
         pairs = []
+        oracle_calls = []
 
-        def recording(t, q):
+        def recording_engine(t, q):
             pairs.append((t, q))
-            return dedekind_divides_index(t, q)
+            return _verdict(t, q)
 
-        monkeypatch.setattr(search, "_divides_index", recording)
+        def counting_oracle(t, q):
+            oracle_calls.append((q, t.b % (q * q), t.d % (q * q)))
+            return _divides_index(t, q)
+
+        monkeypatch.setattr(search, "_verdict", recording_engine)
+        monkeypatch.setattr(search, "_divides_index", counting_oracle)
         bound = 10**6
         result = oracle_check(2000, 1, -bound, bound, -bound, bound)
         assert result.agreements == len(pairs) == 6758
+        assert len(oracle_calls) == len(set(oracle_calls)) == 3010
+        assert set(oracle_calls) == {(q, t.b % (q * q), t.d % (q * q)) for t, q in pairs}
         split = [
             (t, q) for t, q in pairs if dedekind_bruteforce(t.b, t.d, q) != dedekind_divides_index(t, q)
         ]
@@ -117,6 +127,55 @@ class TestAgainstOracles:
                 assert _verdict(t, q).divides_index == _divides_index(t, q), (b, d, q)
                 pairs += 1
         assert (len(candidates), pairs) == (1194, 3790)
+
+
+class TestResidueClassReuse:
+    """``oracle_check`` computes the Dedekind verdict once per class mod q^2."""
+
+    @pytest.mark.parametrize("q", BRUTE_PRIMES)
+    def test_verdict_is_constant_on_each_class(self, q):
+        # the lemma in the module docstring of dedekind.py: every class of
+        # (b, d) mod q^2 has at least two distinct irreducible lifts among
+        # a small grid of shifts and one far out, and all of them get the
+        # same verdict
+        qq = q * q
+        shifts = [(i, j) for i in (0, -1, 2) for j in (0, 1, -3)] + [(10**6, -(10**6))]
+        seen = set()
+        for b0 in range(qq):
+            for d0 in range(qq):
+                lifts = [Trinomial(b0 + i * qq, d0 + j * qq) for i, j in shifts]
+                lifts = [t for t in lifts if t.d != 0 and is_irreducible(t)]
+                assert len(lifts) >= 2, (q, b0, d0)
+                verdicts = {_divides_index(t, q) for t in lifts}
+                assert len(verdicts) == 1, (q, b0, d0)
+                seen |= verdicts
+        assert seen == {True, False}
+
+    def test_nothing_survives_between_calls(self, monkeypatch):
+        calls = []
+
+        def counting(t, q):
+            calls.append((t, q))
+            return _divides_index(t, q)
+
+        monkeypatch.setattr(search, "_divides_index", counting)
+        bound = 10**6
+        first = oracle_check(300, 4, -bound, bound, -bound, bound)
+        n_first = len(calls)
+        second = oracle_check(300, 4, -bound, bound, -bound, bound)
+        assert first == second
+        assert 0 < n_first == len(calls) - n_first < first.agreements
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_a_verdict_per_pair(self, seed):
+        # the reference runs both public index tests on every pair.  A
+        # reuse keyed by (q, b mod q, d mod q) instead of mod q^2 merges
+        # classes with different verdicts: on seed 1 it reports 1926
+        # disagreements and fewer agreements, and this comparison fails
+        bound = 10**6
+        got = oracle_check(2000, seed, -bound, bound, -bound, bound)
+        assert got == oracle_check_reference(2000, seed, -bound, bound, -bound, bound)
+        assert got.disagreements == ()
 
 
 class TestValidation:

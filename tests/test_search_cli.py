@@ -313,7 +313,11 @@ class TestOracleCheck:
 
 
 def flip_first_oracle_answer(monkeypatch):
-    """Negate the Dedekind oracle on the first (t, q) it is asked about."""
+    """Negate the Dedekind oracle on the first (t, q) it is asked about.
+
+    ``oracle_check`` reuses that answer for every later pair in the class of
+    (q, b mod q^2, d mod q^2), so each of those pairs becomes a disagreement.
+    """
     real = search._divides_index
     flipped = []
 
@@ -336,17 +340,22 @@ class TestOracleCheckEdges:
         flipped = flip_first_oracle_answer(monkeypatch)
         res = oracle_check(*self.ARGS)
         [(t, q, oracle)] = flipped
-        [dis] = res.disagreements
+        dis = res.disagreements[0]
         assert (dis.trinomial, dis.prime, dis.oracle_divides) == (t, q, oracle)
-        assert dis.engine.divides_index != oracle
-        assert res.agreements == honest.agreements - 1
+        in_class = [
+            (x.trinomial.b - t.b) % (q * q) == (x.trinomial.d - t.d) % (q * q) == 0
+            for x in res.disagreements
+        ]
+        assert {x.prime for x in res.disagreements} == {q} and all(in_class)
+        assert all(x.engine.divides_index != oracle == x.oracle_divides for x in res.disagreements)
+        assert res.agreements == honest.agreements - len(res.disagreements)
         out = dis.to_dict()
         assert list(out) == ["trinomial", "prime", "engine", "oracle_divides"]
         assert out["trinomial"] == {"b": t.b, "d": t.d}
         assert out["engine"] == dis.engine.to_dict() and out["engine"]["prime"] == q
         whole = res.to_dict()
         assert list(whole) == ["requested", "sampled", "agreements", "disagreements"]
-        assert whole["disagreements"] == [out]
+        assert whole["disagreements"] == [x.to_dict() for x in res.disagreements]
 
     def test_cli_prints_it_and_exits_1(self, monkeypatch, capsys):
         flipped = flip_first_oracle_answer(monkeypatch)
@@ -359,7 +368,7 @@ class TestOracleCheckEdges:
         )
         assert rc == 1
         [(t, q, oracle)] = flipped
-        [dis] = json.loads(capsys.readouterr().out)["disagreements"]
+        dis = json.loads(capsys.readouterr().out)["disagreements"][0]
         assert dis["trinomial"] == {"b": t.b, "d": t.d}
         assert (dis["prime"], dis["oracle_divides"]) == (q, oracle)
 
@@ -370,8 +379,9 @@ class TestOracleCheckEdges:
             asked.append(q)
             return real(t, q)
 
-        real = search._divides_index
-        monkeypatch.setattr(search, "_divides_index", recording)
+        # the engine runs once per (t, q) pair, the Dedekind route once per class
+        real = search._verdict
+        monkeypatch.setattr(search, "_verdict", recording)
         rc = main(
             [
                 "oracle-check",
