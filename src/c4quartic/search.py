@@ -15,17 +15,19 @@ carries them inline as ``{"trinomial": ..., "error": ...}`` lines; CSV has
 no column for them, so they are dropped from the stream and reported through
 the ``on_skip`` callback instead.
 
-A dense walk that writes CSV, or keeps only monogenic cells, decides every
-cell from the closed form of the index criterion and yields the record
-(b, d, e, v): v is None for a reducible cell, the least prime dividing the
-index for a failing one, and the discriminant's factorization for a
-monogenic one.  A reducible cell, or one sunk at a prime below 1000, is
-decided before the rest of e is factored, so it never reaches the
-factorizer's Brent tail, and a give-up there cannot happen to it; every
-other cell is decided once that tail has run.  CSV writes every row from
-its record.  ``monogenic_only`` keeps only the monogenic records, and a
-report is built from the factorization a record carries only where one is
-printed: in a JSON stream, or by ``iter_box``.
+Every walk, dense or ``c4_only``, yields each cell it can classify as the
+record (b, d, e, v).  A walk that writes CSV, or keeps only monogenic cells,
+decides every cell from the closed form of the index criterion: v is None
+for a reducible cell, the least prime dividing the index for a failing one,
+and the discriminant's factorization for a monogenic one.  The dense walk
+decides a reducible cell, or one sunk at a prime below 1000, before the
+rest of e is factored, so it never reaches the factorizer's Brent tail, and
+a give-up there cannot happen to it; every other cell, and every C4 cell,
+is decided once d and e are factored in full.  A walk that does not decide
+(an unfiltered JSON walk) carries the factorization in every record, or
+None where e = 0 and disc = 0.  CSV writes every row from its record, and
+``monogenic_only`` keeps only the monogenic records.  Only a JSON line or
+``iter_box`` builds a report, from the factorization its record carries.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Generator, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
 from .index_criterion import PrimeVerdict, _least_index_prime, _verdict
@@ -55,7 +57,6 @@ from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is
 from ._scan_py import scan_c4
 from .scan import _check_box, scan_c4_candidates
 from .trinomial import (
-    Signature,
     Trinomial,
     _c4,
     _irreducible,
@@ -130,18 +131,19 @@ def iter_box(
     return map(_reported, items)
 
 
-# a cell a deciding dense walk decided: (b, d, e, v), with v None for a
+# a classified cell: (b, d, e, v).  A deciding walk gives v None for a
 # reducible cell, the least prime dividing the index for a failing one, and
-# the factorization of the discriminant for a monogenic one
+# the factorization of the discriminant for a monogenic one; any other walk
+# gives the factorization for every cell, and None where e = 0
 _Decided = tuple[int, int, int, int | Factorization | None]
 
-# an item of a search stream: a report, an error record, or a decided cell
-_Item = MonogenicityReport | SearchError | _Decided
+# an item of a search stream: a classified cell or an error record
+_Item = _Decided | SearchError
 
 
 def _reported(item: _Item) -> MonogenicityReport | SearchError:
-    # a report in place of a monogenic record, the only kind a filtered walk
-    # keeps; any other item as it is
+    # a report in place of a record, from the factorization it carries; an
+    # error record as it is
     if isinstance(item, tuple):
         b, d, _, fact = item
         return _report(Trinomial(b, d), fact)
@@ -161,21 +163,55 @@ def _items(
 ) -> Iterator[_Item]:
     # unchecked body of iter_box and of every search: the items of rows
     # b_lo..b_hi, each cell of them, or, with c4_only, their C4 cells, which
-    # are the given cells or else the scan's.  A record is monogenic exactly
-    # when it carries a factorization
+    # are the given cells or else the scan's.  Both walks yield records, and
+    # monogenic_only always comes with decide, so a kept record is monogenic
+    # exactly when it carries a factorization
     if c4_only:
         if cells is None:
             cells = scan_c4(b_lo, b_hi, d_min, d_max)
-        items = (_cell_report(b, d) for b, d in cells)
+        items = _c4_items(cells, decide)
     else:
         items = _dense_items(b_lo, b_hi, d_min, d_max, d_counts, decide)
     for item in items:
-        if monogenic_only and (
-            isinstance(item, tuple) and not isinstance(item[3], Factorization)
-            or isinstance(item, MonogenicityReport) and not item.monogenic
-        ):
+        if monogenic_only and isinstance(item, tuple) and not isinstance(item[3], Factorization):
             continue
         yield item
+
+
+def _record(
+    b: int, d: int, e: int, d_counts: dict[int, int], e_counts: Iterable[tuple[int, int]],
+    decide: bool,
+) -> _Decided:
+    # the record of a cell with d and e factored in full: d_counts holds 2^4
+    # and d's exponents, e_counts the pairs (p, v_p(e)), read twice.  With
+    # decide the cell is irreducible, and the closed form of the index
+    # criterion sinks it at its least prime dividing the index, if any
+    if decide:
+        p = _least_index_prime(b, d, d_counts, e_counts)
+        if p is not None:
+            return b, d, e, p
+    counts = dict(d_counts)
+    for p, j in e_counts:
+        counts[p] = counts.get(p, 0) + 2 * j
+    return b, d, e, Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
+
+
+def _c4_items(cells: list[tuple[int, int]], decide: bool) -> Iterator[_Item]:
+    # the C4 cells one by one, few and far apart, where a sieve would cost
+    # more than the cells it serves.  d and then e are factored in full, as
+    # factor_discriminant does, so a give-up names the same number with the
+    # same text.  A C4 cell is irreducible, with d and e positive
+    for b, d in cells:
+        e = b * b - 4 * d
+        d_counts = {2: 4}
+        e_counts: dict[int, int] = {}
+        try:
+            _factor_into(d, d_counts, 1)
+            _factor_into(e, e_counts, 1)
+        except FactorizationIncomplete as exc:
+            yield SearchError(Trinomial(b, d), str(exc))
+            continue
+        yield _record(b, d, e, d_counts, e_counts.items(), decide)
 
 
 # cells per sieve segment along a row: a segment is sieved before its first
@@ -201,12 +237,10 @@ def _dense_items(
     # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
     # down by 4 and is sieved segment by segment; d and the rest of e wait
     # for their cell, and that rest goes to the factorizer's Brent tail, as
-    # in factor.  With decide, every cell is decided by the closed form of
-    # the index criterion and yielded as its record (b, d, e, v): a cell
-    # that is reducible, or whose index a prime below 1000 divides, from d's
-    # table and the sieve, before that tail; any other from d's table and
-    # all of e, after it.  The sparse c4 walk stays per cell, where a sieve
-    # would cost more than the few cells it serves
+    # in factor.  Every cell is yielded as its record.  With decide, a cell
+    # that is reducible, or whose index a prime below 1000 divides, is
+    # decided from d's table and the sieve, before that tail; any other is
+    # decided by _record from d's table and all of e, after it
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
@@ -216,9 +250,9 @@ def _dense_items(
                 d = lo + i
                 e = bb - 4 * d
                 if d == 0 or e == 0:
-                    # the per-cell route factors nothing here, and e = 0 is
-                    # reducible
-                    yield (b, d, e, None) if decide and d else _cell_report(b, d)
+                    # d = 0 is an error record; e = 0 is reducible, with
+                    # disc 0, and the per-cell route factors nothing there
+                    yield (b, d, e, None) if d else _cell_report(b, d)
                     continue
                 got = d_counts.get(d)
                 if got is None:
@@ -248,27 +282,20 @@ def _dense_items(
                         yield SearchError(Trinomial(b, d), str(exc))
                         continue
                     e_counts = e_counts + list(tail.items())
-                if decide:
-                    p = _least_index_prime(b, d, got, e_counts)
-                    if p is not None:
-                        yield b, d, e, p
-                        continue
-                counts = dict(got)
-                for p, j in e_counts:
-                    counts[p] = counts.get(p, 0) + 2 * j
-                fact = Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
-                yield (b, d, e, fact) if decide else _report(Trinomial(b, d), fact)
+                yield _record(b, d, e, got, e_counts, decide)
 
 
 def _settled_csv(b: int, d: int, e: int, v: int | Factorization | None) -> str:
-    # the row format_item writes for this cell's report: reducible when v is
-    # None, monogenic when it is a factorization, else sunk at v
+    # the one CSV row writer, in the order of CSV_HEADER, for a decided
+    # cell: reducible when v is None, monogenic when it is a factorization,
+    # else sunk at v
     disc = 16 * d * e * e
     if v is None:
-        return _csv_row(b, d, False, False, disc, False, None, None)
+        return f"{b},{d},false,false,{disc},false,,,"
+    c4, sig = _bool_str(_c4(d, e)), _signature(b, d, e)
     if isinstance(v, Factorization):
-        return _csv_row(b, d, True, _c4(d, e), disc, True, _signature(b, d, e), None)
-    return _csv_row(b, d, True, _c4(d, e), disc, False, _signature(b, d, e), v)
+        return f"{b},{d},true,{c4},{disc},true,{sig.r1},{sig.r2},"
+    return f"{b},{d},true,{c4},{disc},false,{sig.r1},{sig.r2},{v}"
 
 
 def _bool_str(v: bool) -> str:
@@ -326,56 +353,21 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     if isinstance(item, SearchError):
         return None
-    t = item.trinomial
-    return _csv_row(
-        t.b,
-        t.d,
-        item.irreducible,
-        item.c4,
-        item.disc,
-        item.monogenic,
-        item.signature,
-        item.failing_prime(),
-    )
-
-
-def _csv_row(
-    b: int,
-    d: int,
-    irreducible: bool,
-    c4: bool,
-    disc: int,
-    monogenic: bool,
-    sig: Signature | None,
-    failing: int | None,
-) -> str:
-    # the one CSV row writer, in the order of CSV_HEADER
-    fields = (
-        str(b),
-        str(d),
-        _bool_str(irreducible),
-        _bool_str(c4),
-        str(disc),
-        _bool_str(monogenic),
-        "" if sig is None else str(sig.r1),
-        "" if sig is None else str(sig.r2),
-        "" if failing is None else str(failing),
-    )
-    return ",".join(fields)
+    b, d = item.trinomial.b, item.trinomial.d
+    v = item.disc_factored if item.monogenic else item.failing_prime()
+    return _settled_csv(b, d, b * b - 4 * d, v)
 
 
 def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> Iterator[str]:
     """One line per item; each item the format cannot carry goes to ``on_skip``."""
     for item in items:
-        if isinstance(item, tuple):
-            if fmt == "csv":
-                yield _settled_csv(*item)
-                continue
-            # a monogenic cell of a filtered JSON walk
-            item = _reported(item)
-        line = format_item(item, fmt)
+        if isinstance(item, SearchError):
+            line = format_item(item, fmt)
+        elif fmt == "csv":
+            line = _settled_csv(*item)
+        else:
+            line = format_item(_reported(item), fmt)
         if line is None:
-            assert isinstance(item, SearchError)
             on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
         else:
             yield line
@@ -472,7 +464,8 @@ def search_lines(
     _check_box(b_min, b_max, d_min, d_max)
     skip = on_skip or (lambda msg: None)
     # a CSV row needs no report, and a monogenic_only search needs one only
-    # for the cells it keeps
+    # for the cells it keeps; the filter reads the decided records, so
+    # monogenic_only always implies decide
     decide = fmt == "csv" or monogenic_only
     if workers == 1:
         items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, decide)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import c4quartic
 from c4quartic import intarith, search
-from c4quartic._scan_py import scan_c4
+from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples, scan_c4
 from c4quartic.cli import main
 from c4quartic.intarith import FactorizationIncomplete
 from c4quartic.monogenic import MonogenicityReport, is_monogenic
@@ -16,6 +16,7 @@ from c4quartic.search import (
     _JSON,
     CSV_HEADER,
     SearchError,
+    _cell_report,
     format_item,
     iter_box,
     oracle_check,
@@ -24,6 +25,8 @@ from c4quartic.search import (
 )
 from c4quartic.trinomial import Trinomial
 from oracles import factor_discriminant_reference
+from test_dense_walk import SEMIPRIME, count_calls, kept, per_cell_lines
+from test_scan import EXHAUSTIVE_BOXES
 
 
 class TestIterBox:
@@ -255,6 +258,93 @@ class TestSearchLines:
             list(search_lines(0, 1, 1, 2, fmt="yaml"))
         with pytest.raises(ValueError):
             list(search_lines(1, 0, 1, 2))
+
+
+# a box for each scan route, beside the small ones of test_scan; K is a
+# prime = 3 (mod 4), so the scaled witness (5K, 5K^2) of the last box passes
+# at 2 and fails at K, with K^2 | d
+K = 400_031
+C4_ROUTE_BOXES = {
+    _scan_gaussian: (100_000, 100_500, 1, 100_000),
+    _scan_triples: (300_000, 300_300, 1, 300_000),
+    _scan_cells: (5 * K - 3, 5 * K + 3, 5 * K**2 - 60, 5 * K**2 + 60),
+}
+C4_BOXES = EXHAUSTIVE_BOXES + list(C4_ROUTE_BOXES.values())
+# the streams a --c4-only search can write: (fmt, monogenic_only)
+C4_STREAMS = [("csv", False), ("csv", True), ("json", True), ("json", False)]
+
+
+def c4_reports(box):
+    """The C4 cells of the box on the per-cell route, the five-branch engine's."""
+    return [_cell_report(b, d) for b, d in scan_c4(*box)]
+
+
+class TestC4Records:
+    """A --c4-only walk yields the same records as the dense walk, decided
+    by the closed form of the index criterion; its streams must equal the
+    per-cell route's, formatted and filtered."""
+
+    def test_a_box_for_each_route(self):
+        for route, box in C4_ROUTE_BOXES.items():
+            assert _route(*box) is route
+            assert scan_c4(*box), route.__name__
+
+    def test_the_boxes_fail_every_way(self):
+        ways = set()
+        for box in C4_BOXES:
+            for report in c4_reports(box):
+                d, p = report.trinomial.d, report.failing_prime()
+                if p is None:
+                    ways.add("monogenic")
+                else:
+                    ways.add(2 if p == 2 else "p^2 | d" if d % p == 0 else "p^2 | e")
+        assert ways == {"monogenic", 2, "p^2 | d", "p^2 | e"}
+        # K sinks its cell, past the trial primes
+        assert c4_reports(C4_ROUTE_BOXES[_scan_cells])[0].failing_prime() == K
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("box", C4_BOXES)
+    def test_streams_match_the_per_cell_route(self, serial_pool, box, workers):
+        reports = c4_reports(box)
+        for fmt, monogenic_only in C4_STREAMS:
+            got = lines_and_skips(box, workers, c4_only=True, fmt=fmt, monogenic_only=monogenic_only)
+            assert got == per_cell_lines(reports, fmt, monogenic_only), (fmt, monogenic_only)
+
+    @pytest.mark.parametrize("box", C4_BOXES)
+    def test_iter_box_matches_the_per_cell_route(self, box):
+        reports = c4_reports(box)
+        assert list(iter_box(*box, c4_only=True)) == reports
+        want = [r for r in reports if kept(r, True)]
+        assert list(iter_box(*box, c4_only=True, monogenic_only=True)) == want
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_only_where_printed(self, monkeypatch, serial_pool, workers):
+        box = (-60, 60, 1, 300)
+        reports = c4_reports(box)
+        monogenic = [r.trinomial for r in reports if r.monogenic]
+        assert 0 < len(monogenic) < len(reports)
+        built = count_calls(monkeypatch, search, "_report")
+        list(search_lines(*box, c4_only=True, fmt="csv", workers=workers))
+        assert built == []
+        list(search_lines(*box, c4_only=True, fmt="json", monogenic_only=True, workers=workers))
+        assert [args[0] for args in built] == monogenic
+
+    def test_a_give_up_is_the_per_cell_error(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
+        # the C4 cell (4, 2) scaled by m: d = 2m^2 and e = 8m^2, and the
+        # factorizer gives up on both; d is factored first, so it is named
+        m = SEMIPRIME
+        box = (4 * m, 4 * m, 2 * m * m, 2 * m * m)
+        [want] = c4_reports(box)
+        assert isinstance(want, SearchError)
+        assert want.message.startswith(f"factorization of {2 * m * m} exceeded")
+        assert list(iter_box(*box, c4_only=True)) == [want]
+        assert list(iter_box(*box, c4_only=True, monogenic_only=True)) == [want]
+        for workers in (1, 2):
+            for fmt, monogenic_only in C4_STREAMS:
+                got = lines_and_skips(box, workers, c4_only=True, fmt=fmt, monogenic_only=monogenic_only)
+                assert got == per_cell_lines([want], fmt, monogenic_only), (workers, fmt)
+        assert len(serial_pool) == len(C4_STREAMS)
 
 
 class TestVerifyTheorem:
