@@ -25,7 +25,7 @@ from c4quartic.search import (
 )
 from c4quartic.trinomial import Trinomial
 from oracles import factor_discriminant_reference
-from test_dense_walk import SEMIPRIME, count_calls, kept, per_cell_lines
+from test_box_factorizer import SEMIPRIME, count_calls, kept, per_cell_lines
 from test_scan import EXHAUSTIVE_BOXES
 
 
