@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .index_criterion import PrimeVerdict, _verdict
 from .intarith import Factorization, _factor_into, factor, radical
@@ -104,26 +105,33 @@ def _report(t: Trinomial, fact: Factorization | None) -> MonogenicityReport:
     if not _irreducible(b, d, e):
         return MonogenicityReport(t, False, False, disc, fact, (), False, None, None)
 
-    verdicts: list[PrimeVerdict] = []
-    blocked = False
-    for q in fact.primes():
-        if blocked:
-            verdicts.append(PrimeVerdict.skipped(q))
-        else:
-            v = _verdict(t, q)
-            verdicts.append(v)
-            blocked = v.divides_index
+    verdicts = tuple(_verdicts(t, fact.primes()))
+    blocked = any(v.divides_index for v in verdicts)
     return MonogenicityReport(
         trinomial=t,
         irreducible=True,
         c4=_c4(d, e),
         disc=disc,
         disc_factored=fact,
-        verdicts=tuple(verdicts),
+        verdicts=verdicts,
         monogenic=not blocked,
         field_disc=disc if not blocked else None,
         signature=_signature(b, d, e),
     )
+
+
+def _verdicts(t: Trinomial, primes: Iterable[int]) -> Iterator[PrimeVerdict]:
+    # the stopping rule of is_monogenic: the branch test at each prime, in
+    # increasing order, until one divides the index, then placeholders.
+    # Unchecked: t irreducible and the primes those of disc(t)
+    rest = iter(primes)
+    for q in rest:
+        v = _verdict(t, q)
+        yield v
+        if v.divides_index:
+            break
+    for q in rest:
+        yield PrimeVerdict.skipped(q)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,10 @@ a give-up there cannot happen to it; every other cell, and every C4 cell,
 is decided once d and e are factored in full.  A walk that does not decide
 (an unfiltered JSON walk) carries the factorization in every record, or
 None where e = 0 and disc = 0.  CSV writes every row from its record, and
-``monogenic_only`` keeps only the monogenic records.  Only a JSON line or
-``iter_box`` builds a report, from the factorization its record carries.
+``monogenic_only`` keeps only the monogenic records.  A JSON line is
+written from its record and the verdicts the engine yields for it, each
+shared verdict's text rendered once per stream.  Only ``iter_box`` builds
+a report, from the factorization its record carries.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from itertools import islice
 from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
-from .index_criterion import PrimeVerdict, _least_index_prime, _verdict
+from .index_criterion import PrimeVerdict, _is_shared, _least_index_prime, _verdict
 from .dedekind import _divides_index
 from .intarith import (
     _TRIAL_LIMIT,
@@ -53,7 +55,7 @@ from .intarith import (
     _sieve_progression,
     primes_upto,
 )
-from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is_monogenic
+from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, _verdicts, is_monogenic
 from ._scan_py import scan_c4
 from .scan import _check_box, scan_c4_candidates
 from .trinomial import (
@@ -81,8 +83,8 @@ __all__ = [
 
 CSV_HEADER = "b,d,irreducible,c4,disc,monogenic,r1,r2,failing_prime"
 
-# the compact encoding every JSON line has; _json_line writes it directly and
-# uses this encoder only to escape error messages
+# the compact encoding every JSON line has; _json_cell and _json_error write
+# it directly and use this encoder only to escape error messages
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -323,32 +325,88 @@ def _json_verdict(v: PrimeVerdict) -> str:
     return out + "}"
 
 
-def _json_line(item: MonogenicityReport | SearchError) -> str:
-    """The bytes of ``_JSON.encode(item.to_dict())``, written directly."""
+# the most verdict texts one stream keeps; the memo is emptied when full
+_TEXT_MEMO = 4096
+
+
+def _verdict_text() -> Callable[[PrimeVerdict], str]:
+    """``_json_verdict`` behind a memo of one stream's shared verdicts.
+
+    Only the verdicts the engine shares are kept; the others are built per
+    cell and never repeat.  The memo is keyed by object identity and holds
+    each verdict it keys, so no other object can take its id.
+    """
+    memo: dict[int, tuple[PrimeVerdict, str]] = {}
+
+    def text(v: PrimeVerdict) -> str:
+        hit = memo.get(id(v))
+        if hit is not None:
+            return hit[1]
+        out = _json_verdict(v)
+        if _is_shared(v):
+            if len(memo) >= _TEXT_MEMO:
+                memo.clear()
+            memo[id(v)] = v, out
+        return out
+
+    return text
+
+
+def _json_error(item: SearchError) -> str:
+    # the bytes of _JSON.encode(item.to_dict())
     t = item.trinomial
-    if isinstance(item, SearchError):
-        return f'{{"trinomial":{{"b":{t.b},"d":{t.d}}},"error":{_JSON.encode(item.message)}}}'
-    f = item.disc_factored
-    fact = (
+    return f'{{"trinomial":{{"b":{t.b},"d":{t.d}}},"error":{_JSON.encode(item.message)}}}'
+
+
+def _json_cell(
+    b: int,
+    d: int,
+    e: int,
+    fact: Factorization | None,
+    verdicts: Iterable[PrimeVerdict],
+    text: Callable[[PrimeVerdict], str] = _json_verdict,
+) -> str:
+    """The one JSON writer: the bytes of ``_JSON.encode(report.to_dict())``.
+
+    The report is that of the cell (b, d), with e = b^2 - 4d, ``fact`` the
+    factorization of its discriminant (None where it is 0) and ``verdicts``
+    the cell's verdicts, each rendered by ``text``.  These are empty exactly
+    when the cell is reducible, as 2 divides every discriminant.
+    """
+    texts = []
+    monogenic = True
+    for v in verdicts:
+        texts.append(text(v))
+        if v.divides_index:
+            monogenic = False
+    disc = 16 * d * e * e
+    fact_text = (
         "null"
-        if f is None
-        else f'{{"sign":{f.sign},"factors":[' + ",".join(f"[{p},{e}]" for p, e in f.factors) + "]}"
+        if fact is None
+        else f'{{"sign":{fact.sign},"factors":[' + ",".join(f"[{p},{k}]" for p, k in fact.factors) + "]}"
     )
-    g = item.signature
-    sig = "null" if g is None else f'{{"r1":{g.r1},"r2":{g.r2}}}'
+    head = f'{{"trinomial":{{"b":{b},"d":{d}}},'
+    if not texts:
+        return (
+            f'{head}"irreducible":false,"c4":false,"disc":{disc},"disc_factored":{fact_text},'
+            '"verdicts":[],"monogenic":false,"field_disc":null,"signature":null}'
+        )
+    sig = _signature(b, d, e)
     return (
-        f'{{"trinomial":{{"b":{t.b},"d":{t.d}}},"irreducible":{_bool_str(item.irreducible)},'
-        f'"c4":{_bool_str(item.c4)},"disc":{item.disc},"disc_factored":{fact},'
-        f'"verdicts":[{",".join(map(_json_verdict, item.verdicts))}],'
-        f'"monogenic":{_bool_str(item.monogenic)},"field_disc":{_json_opt(item.field_disc)},'
-        f'"signature":{sig}}}'
+        f'{head}"irreducible":true,"c4":{_bool_str(_c4(d, e))},"disc":{disc},'
+        f'"disc_factored":{fact_text},"verdicts":[{",".join(texts)}],'
+        f'"monogenic":{_bool_str(monogenic)},"field_disc":{disc if monogenic else "null"},'
+        f'"signature":{{"r1":{sig.r1},"r2":{sig.r2}}}}}'
     )
 
 
 def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
     """One output line for an item, or None when the format cannot carry it."""
     if fmt == "json":
-        return _json_line(item)
+        if isinstance(item, SearchError):
+            return _json_error(item)
+        b, d = item.trinomial.b, item.trinomial.d
+        return _json_cell(b, d, b * b - 4 * d, item.disc_factored, item.verdicts)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     if isinstance(item, SearchError):
@@ -359,18 +417,25 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
 
 
 def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> Iterator[str]:
-    """One line per item; each item the format cannot carry goes to ``on_skip``."""
+    """One line per item; each item the format cannot carry goes to ``on_skip``.
+
+    A JSON line is written from its record and the verdicts the engine
+    yields for it, with no report built; the verdict texts are memoized for
+    this stream alone.
+    """
+    text = _verdict_text()
     for item in items:
         if isinstance(item, SearchError):
-            line = format_item(item, fmt)
+            if fmt == "csv":
+                on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
+            else:
+                yield _json_error(item)
         elif fmt == "csv":
-            line = _settled_csv(*item)
+            yield _settled_csv(*item)
         else:
-            line = format_item(_reported(item), fmt)
-        if line is None:
-            on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
-        else:
-            yield line
+            b, d, e, fact = item
+            verdicts = _verdicts(Trinomial(b, d), fact.primes()) if _irreducible(b, d, e) else ()
+            yield _json_cell(b, d, e, fact, verdicts, text)
 
 
 # cells (or C4 candidates) per parallel chunk: the unit a pool worker

@@ -4,9 +4,13 @@ from hypothesis import given, settings, strategies as st
 from c4quartic.dedekind import dedekind_divides_index
 from c4quartic.index_criterion import (
     _FAILS_AT_2,
+    BranchIntermediates,
     PrimeVerdict,
+    _branch_3_odd,
     _branch_4_mod4,
+    _is_shared,
     _least_index_prime,
+    _plain,
     _verdict,
     prime_index_test,
 )
@@ -291,6 +295,79 @@ class TestValidation:
         # gets here; the dispatch raises rather than label it prime 2
         with pytest.raises(ArithmeticError):
             _verdict(Trinomial(3, 1), 3)
+
+
+def docstring_verdict(b, d, q):
+    """The verdict at q, built field by field from the five branches as the
+    module docstring states them."""
+    e = b * b - 4 * d
+    if b % q == 0 and d % q == 0:
+        return PrimeVerdict(q, True, d % (q * q) == 0, 1)
+    if b % q == 0:
+        assert q == 2
+        b2, d1 = b // 2, (d + d**4) // 2
+        if b2 % 2 == 0 and d1 % 2 == 1:
+            disjunct = 1
+        elif b2 * (-d * b2 * b2 - d1 * d1) % 2 == 1:
+            disjunct = 2
+        else:
+            disjunct = None
+        inter = BranchIntermediates(b2=b2, d1=d1, s=4, disjunct=disjunct)
+        return PrimeVerdict(2, True, disjunct is None, 2, inter)
+    if d % q == 0:
+        s = 2 if q == 2 else 1
+        b1, d2 = (b + (-b) ** s) // q, d // q
+        disjunct = 1 if b1 % q == 0 and d2 % q != 0 else None
+        inter = BranchIntermediates(b1=b1, d2=d2, s=s, disjunct=disjunct)
+        return PrimeVerdict(q, True, disjunct is None, 3, inter)
+    if q == 2:
+        h1 = nmod_trim(2, (d, b, 1))
+        h2 = nmod_trim(2, (d * (1 + d) // 2, b * d, b * (1 + b) // 2))
+        g = nmod_gcd(2, h1, h2)
+        return PrimeVerdict(2, True, len(g) > 1, 4, h1=h1, h2=h2, h_gcd=g)
+    return PrimeVerdict(q, True, e % (q * q) == 0, 5)
+
+
+class TestSharedVerdicts:
+    def test_every_cell_of_a_box(self):
+        # the verdicts of branches 1, 5 and odd 3 are one object per key:
+        # (q, divides_index, branch), or (q, d) for branch 3 at an odd q
+        shared = {}
+        branches = set()
+        repeats = 0
+        for b in range(-30, 31):
+            for d in range(-30, 31):
+                t = Trinomial(b, d)
+                if not d or not is_irreducible(t):
+                    continue
+                for q in disc_primes(t, cap=13):
+                    v = _verdict(t, q)
+                    assert v == docstring_verdict(b, d, q), (b, d, q)
+                    branches.add((v.branch, q == 2))
+                    if v.branch == 3 and q > 2:
+                        key = (q, d)
+                    elif v.branch in (1, 5):
+                        key = (q, v.divides_index, v.branch)
+                    else:
+                        # branch 4 has a cache of its own four verdicts;
+                        # branches 2 and 3 at 2 are built per cell
+                        assert _is_shared(v) == (v.branch == 4), (b, d, q)
+                        continue
+                    assert _is_shared(v), (b, d, q)
+                    repeats += key in shared
+                    assert shared.setdefault(key, v) is v, (b, d, q)
+        # every branch, and branches 1 and 3 both at 2 and at an odd q
+        assert branches == {(1, True), (1, False), (2, True), (3, True), (3, False), (4, True), (5, False)}
+        assert repeats > len(shared)
+
+    def test_placeholders_are_shared(self):
+        assert _is_shared(PrimeVerdict.skipped(2))
+        assert _is_shared(PrimeVerdict.skipped(7))
+
+    def test_caches_are_bounded(self):
+        for cached in (_plain, _branch_3_odd, PrimeVerdict.skipped):
+            assert cached.cache_info().maxsize is not None
+            assert cached.cache_info().maxsize <= 4096
 
 
 # the JSON key order of every verdict; the optional parts follow it

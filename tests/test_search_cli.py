@@ -11,7 +11,7 @@ from c4quartic import intarith, search
 from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples, scan_c4
 from c4quartic.cli import main
 from c4quartic.intarith import FactorizationIncomplete
-from c4quartic.monogenic import MonogenicityReport, is_monogenic
+from c4quartic.monogenic import DegenerateTrinomialError, MonogenicityReport, is_monogenic
 from c4quartic.search import (
     _JSON,
     CSV_HEADER,
@@ -24,7 +24,7 @@ from c4quartic.search import (
     verify_theorem,
 )
 from c4quartic.trinomial import Trinomial
-from oracles import factor_discriminant_reference
+from oracles import factor_discriminant_reference, is_monogenic_reference
 from test_box_factorizer import SEMIPRIME, count_calls, kept, per_cell_lines
 from test_scan import EXHAUSTIVE_BOXES
 
@@ -67,6 +67,24 @@ class TestIterBox:
             iter_box(2, 1, 0, 0)
 
 
+# a box that reaches every verdict shape: each branch either way, each
+# disjunct, placeholders, reducible cells, disc 0 and error records
+SHAPES_BOX = (-30, 30, -30, 30)
+
+
+def reference_items(box):
+    """Each cell of the box as the multi-pass reference report, or its error record."""
+    items = []
+    for b in range(box[0], box[1] + 1):
+        for d in range(box[2], box[3] + 1):
+            t = Trinomial(b, d)
+            try:
+                items.append(is_monogenic_reference(t))
+            except (DegenerateTrinomialError, FactorizationIncomplete) as exc:
+                items.append(SearchError(t, str(exc)))
+    return items
+
+
 class TestFormatting:
     def test_json_report_line(self):
         line = format_item(is_monogenic(Trinomial(-5, 5)), "json")
@@ -88,7 +106,7 @@ class TestFormatting:
 
     def test_json_writer_matches_the_encoder_on_every_small_cell(self):
         seen = set()
-        for item in iter_box(-30, 30, -30, 30):
+        for item in iter_box(*SHAPES_BOX):
             assert format_item(item, "json") == _JSON.encode(item.to_dict()), item.trinomial
             if isinstance(item, SearchError):
                 seen.add("error")
@@ -107,6 +125,25 @@ class TestFormatting:
         assert ("branch", None, False) in seen
         assert seen >= {(2, "disjunct", k) for k in (1, 2, None)}
         assert seen >= {(3, "disjunct", k) for k in (1, None)}
+
+    @pytest.mark.parametrize("memo_cap", [search._TEXT_MEMO, 3])
+    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool, memo_cap):
+        # format_item shares the streams' writer, so the reference is the
+        # json module on the reference reports; a cap of 3 empties the memo
+        # of verdict texts over and over
+        monkeypatch.setattr(search, "_TEXT_MEMO", memo_cap)
+        built = count_calls(monkeypatch, search, "_report")
+        items = reference_items(SHAPES_BOX)
+        verdicts = {v for r in items if isinstance(r, MonogenicityReport) for v in r.verdicts}
+        assert len(verdicts) > 3
+        for monogenic_only in (False, True):
+            want = [_JSON.encode(r.to_dict()) for r in items if kept(r, monogenic_only)]
+            for workers in (1, 2):
+                got = list(search_lines(*SHAPES_BOX, monogenic_only=monogenic_only, workers=workers))
+                assert got == want, (monogenic_only, workers)
+        # the streams build no report, filtered or not, on any worker count
+        assert built == []
+        assert len(serial_pool) == 2
 
     @given(
         st.integers(min_value=-10**12, max_value=10**12),
@@ -324,10 +361,11 @@ class TestC4Records:
         monogenic = [r.trinomial for r in reports if r.monogenic]
         assert 0 < len(monogenic) < len(reports)
         built = count_calls(monkeypatch, search, "_report")
-        list(search_lines(*box, c4_only=True, fmt="csv", workers=workers))
-        assert built == []
-        list(search_lines(*box, c4_only=True, fmt="json", monogenic_only=True, workers=workers))
-        assert [args[0] for args in built] == monogenic
+        # every stream writes its lines from the records: none builds a report
+        for fmt, monogenic_only in C4_STREAMS:
+            kwargs = dict(c4_only=True, fmt=fmt, monogenic_only=monogenic_only, workers=workers)
+            assert list(search_lines(*box, **kwargs)), (fmt, monogenic_only)
+            assert built == [], (fmt, monogenic_only)
 
     def test_a_give_up_is_the_per_cell_error(self, monkeypatch, serial_pool):
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)
