@@ -204,8 +204,9 @@ def _least_index_prime(
     nonzero); ``d_counts`` maps odd primes p to v_p(d), and ``e_counts``
     holds pairs (p, v_p(e)).  Entries for 2 are not read, and a prime whose
     valuation is at most 1 may be left out.  A dense walk has both at hand:
-    its d table, and the segment sieve's found list for e, with the Brent
-    tail's primes of the rest of e added once it has run.
+    its d table, and the segment sieve's found list for e, with the prime
+    square of the rest of e that a square test finds, or the Brent tail's
+    primes of that rest, added.
 
     The five branches reduce to a closed form, prime by prime:
 
@@ -236,9 +237,13 @@ def _least_index_prime(
     Every prime returned divides the index.  It is the cell's failing
     prime, the least prime dividing the index, when the tables list every
     q below it with q^2 | d or q^2 | e: with the full factorizations of d
-    and e that holds everywhere, and None then means monogenic.  With all
-    of d and the primes of e below 1000, as a dense walk has them before
-    its Brent tail, it holds for an answer below 1000.
+    and e that holds everywhere, and None then means monogenic.  A dense
+    walk has all of d and the primes of e up to its sieve's bound y.  Where
+    the rest of e is below (y + 1)^3 it is 1, p, p^2 or p*q for primes
+    past the sieve (see ``intarith._sieve_progression``), so the square
+    test adds the only q^2 | e the sieve missed, and the answer holds
+    everywhere with no factoring.  Past (y + 1)^3, where y = 1000, it
+    holds for an answer below 1000, and the Brent tail decides the rest.
     """
     if (b % 4, d % 4) in _FAILS_AT_2:
         return 2

@@ -315,27 +315,60 @@ def _factor_tail(n: int, m: int, counts: dict[int, int], k: int) -> None:
         stack.append(v // d)
 
 
+def _icbrt(n: int) -> int:
+    # the integer cube root of n >= 0: the largest y with y^3 <= n, by
+    # Newton's method from 2^ceil(bits/3), which is at least the root
+    if n == 0:
+        return 0
+    y = 1 << -(-n.bit_length() // 3)
+    while True:
+        z = (2 * y + n // (y * y)) // 3
+        if z >= y:
+            return y
+        y = z
+
+
+# a run of n terms is sieved past 1000, to the cube root of its largest
+# term, only while that root is at most n * _SIEVE_PER_TERM: each prime
+# costs the run about the same whether it divides a term or not, while the
+# Brent tail it spares is paid per term.  So a full segment of 64 cells of
+# a search row is sieved to the cube root up to |e| = 64000^3 = 2.6 * 10^14
+_SIEVE_PER_TERM = 1000
+
+
 @functools.cache
-def _sieve_primes() -> tuple[tuple[int, int], ...]:
-    # (p, 4^-1 mod p) for the odd trial primes: p | a - 4i iff i = a/4 mod p
-    return tuple((p, pow(4, -1, p)) for p in _trial_primes()[1:])
+def _sieve_primes(limit: int) -> tuple[tuple[int, int], ...]:
+    # (p, 4^-1 mod p) for the odd primes up to limit: p | a - 4i iff
+    # i = a/4 mod p.  The sieve asks for a power of two above its bound,
+    # so a few tables serve every run
+    return tuple((p, pow(4, -1, p)) for p in primes_upto(limit)[1:])
 
 
-def _sieve_progression(a: int, n: int) -> tuple[list[list[tuple[int, int]]], list[int]]:
+def _sieve_progression(a: int, n: int) -> tuple[list[list[tuple[int, int]]], list[int], int]:
     """The small prime factors of a, a - 4, ..., a - 4(n - 1), by sieving.
 
-    Unchecked: n >= 1.  Returns (found, rest), one entry per term.  found[i]
-    is (2, v_2) first, then (p, v_p) for each odd prime p < 1000 with
-    p^2 <= max |term| that divides term i, p ascending; rest[i] is |term i|
+    Unchecked: n >= 1.  Returns (found, rest, y), one entry of found and
+    rest per term.  With T = max |term|, the bound y is icbrt(T) when
+    1000 < icbrt(T) <= n * ``_SIEVE_PER_TERM``, and 1000 otherwise.
+    found[i] is (2, v_2) first, then (p, v_p) for each odd prime p <= y
+    with p^2 <= T that divides term i, p ascending; rest[i] is |term i|
     with those prime powers divided out.  A zero term gets [(2, 0)] and
     rest 1.
 
     The 2-adic parts come off by bit operations.  An odd p divides exactly
     the terms with i = a * 4^-1 mod p, so it is tried on those alone,
-    instead of every term trying every prime.  A rest above 1 is prime or
-    free of the primes below 1000: a prime q < 1000 left in it has
-    q^2 > max |term| >= rest, so it is all of rest.  ``_factor_tail`` takes
-    such a rest as it is.
+    instead of every term trying every prime.
+
+    A rest below (y + 1)^3 is 1, a prime p, a prime square p^2 or a
+    product p*q of two distinct primes.  A prime p <= y left in a rest has
+    p^2 > T, so it is the whole rest: any other prime q of it is smaller,
+    and q*p > q^2 > T.  Otherwise every prime of the rest exceeds y, and
+    three of them would make it at least (y + 1)^3.  So some prime's
+    square divides such a rest exactly when the rest is a square above 1,
+    and that prime is its square root.  T < (y + 1)^3, so every rest is
+    below (y + 1)^3 unless icbrt(T) > n * ``_SIEVE_PER_TERM``; a rest that
+    is not is free of the primes below 1000.  ``_factor_tail`` takes any
+    rest as it is.
     """
     rest: list[int] = []
     found: list[list[tuple[int, int]]] = []
@@ -344,11 +377,17 @@ def _sieve_progression(a: int, n: int) -> tuple[list[list[tuple[int, int]]], lis
         v = (m & -m).bit_length() - 1
         rest.append(m >> v)
         found.append([(2, v)])
-    bound = isqrt(max(abs(a), abs(a - 4 * (n - 1))))
-    for p, inv4 in _sieve_primes():
+    top = max(abs(a), abs(a - 4 * (n - 1)))
+    y = _icbrt(top)
+    if not _TRIAL_LIMIT < y <= n * _SIEVE_PER_TERM:
+        y = _TRIAL_LIMIT
+    bound = min(y, isqrt(top))
+    for p, inv4 in _sieve_primes(1 << bound.bit_length()):
         if p > bound:
             break
-        for i in range(a * inv4 % p, n, p):
+        # a while loop, not a range: most primes past n hit one term or none
+        i = a * inv4 % p
+        while i < n:
             m = rest[i]
             if m % p == 0:
                 m //= p
@@ -358,7 +397,8 @@ def _sieve_progression(a: int, n: int) -> tuple[list[list[tuple[int, int]]], lis
                     j += 1
                 found[i].append((p, j))
                 rest[i] = m
-    return found, rest
+            i += p
+    return found, rest, y
 
 
 def radical(n: int) -> int:

@@ -19,11 +19,16 @@ Every walk, dense or ``c4_only``, yields each cell it can classify as the
 record (b, d, e, v).  A walk that writes CSV, or keeps only monogenic cells,
 decides every cell from the closed form of the index criterion: v is None
 for a reducible cell, the least prime dividing the index for a failing one,
-and the discriminant's factorization for a monogenic one.  The dense walk
-decides a reducible cell, or one sunk at a prime below 1000, before the
-rest of e is factored, so it never reaches the factorizer's Brent tail, and
-a give-up there cannot happen to it; every other cell, and every C4 cell,
-is decided once d and e are factored in full.  A walk that does not decide
+and the discriminant's factorization for a monogenic one, which a CSV walk
+leaves out.  The dense walk sieves e to its cube root where that is cheaper
+than factoring the rest (see ``intarith._sieve_progression``); the rest is
+then 1, p, p^2 or p*q, so a square test finds any prime square in it, and
+the cell is decided with no factoring.  Elsewhere it decides a reducible
+cell, or one sunk at a prime below 1000, in the same way.  Such a cell
+never reaches the factorizer's Brent tail, and a give-up there cannot
+happen to it.  Every other cell, and every C4 cell, is decided once d and
+e are factored in full, and so is a monogenic cell whose factorization a
+filtered JSON stream or ``iter_box`` prints.  A walk that does not decide
 (an unfiltered JSON walk) carries the factorization in every record, or
 None where e = 0 and disc = 0.  CSV writes every row from its record, and
 ``monogenic_only`` keeps only the monogenic records.  A JSON line is
@@ -41,6 +46,7 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
@@ -128,16 +134,26 @@ def iter_box(
     """
     _check_box(b_min, b_max, d_min, d_max)
     # it decides only where monogenic_only keeps no record but a monogenic
-    # one, whose report is built here
-    items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, monogenic_only)
+    # one, whose report is built here from the factorization it carries
+    decide = _DECIDED if monogenic_only else _FACTORED
+    items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, decide)
     return map(_reported, items)
 
 
+# how a walk classifies its cells, its decide argument.  _FACTORED carries
+# the factorization of every cell.  _DECIDED decides every cell from the
+# closed form of the index criterion, and carries the factorization of a
+# monogenic one only; _SETTLED decides as well, but need not factor a
+# monogenic cell, and may carry _MONOGENIC in its place: all a CSV row needs
+_FACTORED, _DECIDED, _SETTLED = 0, 1, 2
+_MONOGENIC = "monogenic"
+
 # a classified cell: (b, d, e, v).  A deciding walk gives v None for a
 # reducible cell, the least prime dividing the index for a failing one, and
-# the factorization of the discriminant for a monogenic one; any other walk
-# gives the factorization for every cell, and None where e = 0
-_Decided = tuple[int, int, int, int | Factorization | None]
+# the factorization of the discriminant (or, when _SETTLED, _MONOGENIC) for
+# a monogenic one; any other walk gives the factorization for every cell,
+# and None where e = 0
+_Decided = tuple[int, int, int, int | Factorization | str | None]
 
 # an item of a search stream: a classified cell or an error record
 _Item = _Decided | SearchError
@@ -161,13 +177,13 @@ def _items(
     cells: list[tuple[int, int]] | None,
     d_counts: _DTable,
     monogenic_only: bool,
-    decide: bool,
+    decide: int,
 ) -> Iterator[_Item]:
     # unchecked body of iter_box and of every search: the items of rows
     # b_lo..b_hi, each cell of them, or, with c4_only, their C4 cells, which
     # are the given cells or else the scan's.  Both walks yield records, and
     # monogenic_only always comes with decide, so a kept record is monogenic
-    # exactly when it carries a factorization
+    # exactly when it carries neither None nor a failing prime
     if c4_only:
         if cells is None:
             cells = scan_c4(b_lo, b_hi, d_min, d_max)
@@ -175,14 +191,14 @@ def _items(
     else:
         items = _dense_items(b_lo, b_hi, d_min, d_max, d_counts, decide)
     for item in items:
-        if monogenic_only and isinstance(item, tuple) and not isinstance(item[3], Factorization):
+        if monogenic_only and isinstance(item, tuple) and (item[3] is None or isinstance(item[3], int)):
             continue
         yield item
 
 
 def _record(
     b: int, d: int, e: int, d_counts: dict[int, int], e_counts: Iterable[tuple[int, int]],
-    decide: bool,
+    decide: int,
 ) -> _Decided:
     # the record of a cell with d and e factored in full: d_counts holds 2^4
     # and d's exponents, e_counts the pairs (p, v_p(e)), read twice.  With
@@ -198,7 +214,7 @@ def _record(
     return b, d, e, Factorization(-1 if d < 0 else 1, tuple(sorted(counts.items())))
 
 
-def _c4_items(cells: list[tuple[int, int]], decide: bool) -> Iterator[_Item]:
+def _c4_items(cells: list[tuple[int, int]], decide: int) -> Iterator[_Item]:
     # the C4 cells one by one, few and far apart, where a sieve would cost
     # more than the cells it serves.  d and then e are factored in full, as
     # factor_discriminant does, so a give-up names the same number with the
@@ -232,22 +248,26 @@ def _dense_items(
     d_min: int,
     d_max: int,
     d_counts: _DTable,
-    decide: bool,
+    decide: int,
 ) -> Iterator[_Item]:
     # every cell, row by row, with factorizations shared across the walk.
     # Each d is factored once, on first use, and kept in d_counts (or its
     # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
-    # down by 4 and is sieved segment by segment; d and the rest of e wait
-    # for their cell, and that rest goes to the factorizer's Brent tail, as
-    # in factor.  Every cell is yielded as its record.  With decide, a cell
-    # that is reducible, or whose index a prime below 1000 divides, is
-    # decided from d's table and the sieve, before that tail; any other is
-    # decided by _record from d's table and all of e, after it
+    # down by 4 and is sieved segment by segment, to a bound y; d and the
+    # rest of e wait for their cell, and that rest goes to the factorizer's
+    # Brent tail, as in factor.  Every cell is yielded as its record.  With
+    # decide, a cell whose rest of e is below (y + 1)^3 is decided from d's
+    # table, the sieve and a square test on that rest, before that tail;
+    # past it, a cell that is reducible, or whose index a prime below 1000
+    # divides, is decided from d's table and the sieve.  Any other cell, or
+    # a monogenic one whose factorization _DECIDED carries, is decided by
+    # _record from d's table and all of e, after the tail
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
             hi = min(lo + _SEGMENT, d_max + 1)
-            found, rest = _sieve_progression(bb - 4 * lo, hi - lo)
+            found, rest, y = _sieve_progression(bb - 4 * lo, hi - lo)
+            cube = (y + 1) ** 3
             for i in range(hi - lo):
                 d = lo + i
                 e = bb - 4 * d
@@ -268,18 +288,30 @@ def _dense_items(
                     yield SearchError(Trinomial(b, d), str(got))
                     continue
                 e_counts = found[i]
+                r = rest[i]
                 if decide:
                     if not _irreducible(b, d, e):
                         yield b, d, e, None
                         continue
+                    # below (y + 1)^3, r is 1, p, p^2 or p*q for primes p, q
+                    # past the sieve, so a square above 1 is the one prime
+                    # square in it, and the closed form is exact
+                    exact = r < cube
+                    if exact:
+                        s = isqrt(r)
+                        if r > 1 and s * s == r:
+                            e_counts = e_counts + [(s, 2)]
                     p = _least_index_prime(b, d, got, e_counts)
-                    if p is not None and p < _TRIAL_LIMIT:
+                    if p is not None and (exact or p < _TRIAL_LIMIT):
                         yield b, d, e, p
                         continue
-                if rest[i] > 1:
+                    if exact and decide == _SETTLED:
+                        yield b, d, e, _MONOGENIC
+                        continue
+                if r > 1:
                     tail: dict[int, int] = {}
                     try:
-                        _factor_tail(e, rest[i], tail, 1)
+                        _factor_tail(e, r, tail, 1)
                     except FactorizationIncomplete as exc:
                         yield SearchError(Trinomial(b, d), str(exc))
                         continue
@@ -287,17 +319,17 @@ def _dense_items(
                 yield _record(b, d, e, got, e_counts, decide)
 
 
-def _settled_csv(b: int, d: int, e: int, v: int | Factorization | None) -> str:
+def _settled_csv(b: int, d: int, e: int, v: int | Factorization | str | None) -> str:
     # the one CSV row writer, in the order of CSV_HEADER, for a decided
-    # cell: reducible when v is None, monogenic when it is a factorization,
-    # else sunk at v
+    # cell: reducible when v is None, sunk at v when it is a prime, else
+    # monogenic
     disc = 16 * d * e * e
     if v is None:
         return f"{b},{d},false,false,{disc},false,,,"
     c4, sig = _bool_str(_c4(d, e)), _signature(b, d, e)
-    if isinstance(v, Factorization):
-        return f"{b},{d},true,{c4},{disc},true,{sig.r1},{sig.r2},"
-    return f"{b},{d},true,{c4},{disc},false,{sig.r1},{sig.r2},{v}"
+    if isinstance(v, int):
+        return f"{b},{d},true,{c4},{disc},false,{sig.r1},{sig.r2},{v}"
+    return f"{b},{d},true,{c4},{disc},true,{sig.r1},{sig.r2},"
 
 
 def _bool_str(v: bool) -> str:
@@ -463,7 +495,7 @@ def _lines_for_range(
     d_max: int,
     cells: list[tuple[int, int]] | None,
     monogenic_only: bool,
-    decide: bool,
+    decide: int,
     fmt: str,
 ) -> tuple[list[str], list[str]]:
     # one chunk in a pool worker, whole: the lines of rows b_lo..b_hi, or,
@@ -528,10 +560,11 @@ def search_lines(
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     _check_box(b_min, b_max, d_min, d_max)
     skip = on_skip or (lambda msg: None)
-    # a CSV row needs no report, and a monogenic_only search needs one only
-    # for the cells it keeps; the filter reads the decided records, so
-    # monogenic_only always implies decide
-    decide = fmt == "csv" or monogenic_only
+    # a CSV row needs no report, nor a monogenic cell's factorization, and
+    # a monogenic_only JSON search needs them only for the cells it keeps;
+    # the filter reads the decided records, so monogenic_only always
+    # implies decide
+    decide = _SETTLED if fmt == "csv" else _DECIDED if monogenic_only else _FACTORED
     if workers == 1:
         items = _items(b_min, b_max, d_min, d_max, c4_only, None, {}, monogenic_only, decide)
         return _lines(items, fmt, skip)

@@ -9,11 +9,14 @@ reports carry equal factorizations.  Give-ups are checked against the
 package-independent ``factor_discriminant_reference``.
 
 A CSV or ``monogenic_only`` walk decides every cell from the closed form of
-the index criterion: a reducible cell, or one whose index a prime below
-1000 divides, before it factors the rest of e, and any other after.  Its
-stream must still equal the per-cell route's, formatted and filtered, and
-it builds a report only for a monogenic cell that a filtered JSON stream
-or ``iter_box`` prints.
+the index criterion.  Where the rest of e is below (y + 1)^3, for the
+sieve's bound y, it is 1, p, p^2 or p*q, and a square test finds the one
+prime square it can hold; where it is (y + 1)^3 or more, a reducible cell,
+or one whose index a prime below 1000 divides, is decided before the rest
+of e is factored, and any other after.  Its stream must still equal the
+per-cell route's, formatted and filtered; only a filtered JSON stream or
+``iter_box`` factors the rest of a monogenic cell's e, to print it, and
+they build a report only for a monogenic cell that ``iter_box`` prints.
 """
 
 import pytest
@@ -88,7 +91,8 @@ def check_decided_box(box, workers=1):
 
 
 def is_decided(report):
-    # reducible, or sunk at a prime below 1000: decided before the Brent tail
+    # reducible, or sunk at a prime below 1000: decided before the Brent
+    # tail whatever the bound the sieve reached
     if isinstance(report, SearchError):
         return False
     p = report.failing_prime()
@@ -131,6 +135,16 @@ BOXES = [
     (-20, 20, 1, 100),  # e = 0 on the even rows
     (99_998, 100_002, 999_999_950, 1_000_000_080),  # e near 10^10
     (-3, 3, -10**12 - 70, -10**12 + 70),  # negative d near -10^12
+] + [
+    # one row each near the cube of the sieve's cap, 64 * _SIEVE_PER_TERM =
+    # 64000 for a full segment; each row ends in a 2-cell segment, sieved
+    # to 1000 only.  Below the cap: |e| near 1.95 * 10^14, where the cell
+    # with e = -195 * 1000003^2 fails at 1000003 by the square test
+    (1, 1, 48750292500439 - 60, 48750292500439 + 69),
+    # above it: e near 3 * 10^14
+    (1, 1, -75 * 10**12, -75 * 10**12 + 129),
+    # across it: the first segment's e reaches 64001^3, the second's not
+    (1, 1, -65539072048063, -65539072047934),
 ]
 
 # the box of the box-csv-w2 benchmark workload
@@ -253,6 +267,23 @@ class TestDecideBeforeFactoring:
     def test_walk_box_on_any_worker_count(self, workers):
         check_decided_box(TestWalk.BOX, workers)
 
+    @pytest.mark.parametrize("box", BOXES[-3:])
+    def test_boxes_near_the_cap_on_two_workers(self, serial_pool, box):
+        check_decided_box(box, 2)
+        # one pool for each of the three searches
+        assert len(serial_pool) == 3
+
+    def test_the_cap_boxes_sit_at_the_cap(self):
+        below, above, across = BOXES[-3:]
+        cap = 64 * intarith._SIEVE_PER_TERM
+        bounds = [
+            intarith._sieve_progression(b * b - 4 * lo, min(_SEGMENT, d_max + 1 - lo))[2]
+            for b, _, d_min, d_max in (below, above, across)
+            for lo in range(d_min, d_max + 1, _SEGMENT)
+        ]
+        assert bounds == [57989, 57989, 1000, 1000, 1000, 1000, 1000, cap, 1000]
+        assert _cell_report(1, 48750292500439).failing_prime() == 1000003
+
     @settings(max_examples=15)
     @given(
         st.integers(min_value=-10**12, max_value=10**12),
@@ -274,6 +305,12 @@ class TestDecideBeforeFactoring:
         decided = [r for r in by_e.values() if is_decided(r)]
         assert 0 < len(decided) < len(by_e)
         assert not any(is_decided(by_e[args[0]]) for args in tails)
+        # |e| is near 6 * 10^9 here, so the sieve reaches its cube root and
+        # every cell is decided without the tail; the JSON stream factors
+        # the rest of e of the monogenic cells it prints, and no other
+        if fmt == "csv":
+            assert tails == []
+        assert all(by_e[args[0]].monogenic for args in tails)
         # each e at most once
         assert len({args[0] for args in tails}) == len(tails)
         # the JSON stream prints monogenic cells, each written from its
@@ -301,10 +338,13 @@ class TestDecideBeforeFactoring:
         assert placeholders == []
         assert reports == []
         assert len(lines) == cells
-        assert len(d_tails) + len(e_tails) <= 0.4 * cells
-        # one cell fails above the trial primes, at 1109; the closed form
-        # finds it once the Brent tail has factored e, and the placeholder
-        # the per-cell report gives its last prime is never built
+        # the sieve reaches the cube root of e, so no rest of e reaches the
+        # tail; 119 of the 120 values of d do, once each
+        assert e_tails == []
+        assert len(d_tails) == 119
+        # one cell fails above the trial primes, at 1109; the sieve finds
+        # 1109^2 in its e, and the placeholder the per-cell report gives its
+        # last prime is never built
         assert [line for line in lines if line.endswith(",1109")] == [
             "100089,1000000047,true,false,579424185814609041962658665328,false,0,2,1109"
         ]
@@ -326,14 +366,16 @@ class TestDecideBeforeFactoring:
         for fmt, monogenic_only in (("csv", False), ("json", True)):
             got = list(search_lines(*box, fmt=fmt, monogenic_only=monogenic_only))
             assert got == per_cell_lines(want, fmt, monogenic_only)[0]
-        # the rest of its e reaches the tail once per walk, and no report is built
-        assert [args[0] for args in tails].count(b * b - 4 * d) == 2
+        # the square test or d's table decides it, so its e never reaches
+        # the tail, and no report is built
+        assert [args[0] for args in tails].count(b * b - 4 * d) == 0
         assert [args[0].d for args in reports].count(d) == 0
         assert _cell_report(b, d).failing_prime() == 1009
         assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
 
     # cells whose factors above the trial primes decide them, each with the
-    # number the Brent tail has to split: the d table's own, or the rest of e
+    # number the Brent tail would have to split: the d table's own, or the
+    # rest of e
     ABOVE_1000 = [
         # d = 1009^2 * 1013, so the d table's tail finds the square
         (3, 1009**2 * 1013, 1009, "d", 1009**2 * 1013),
@@ -355,10 +397,44 @@ class TestDecideBeforeFactoring:
         # three rows, so two workers get two chunks, both run in this process
         check_decided_box((b - 1, b + 1, d - 3, d + 3), workers)
         n = b * b - 4 * d if part == "e" else d
-        assert (n, tail) in [args[:2] for args in tails]
+        if part == "d":
+            assert (n, tail) in [args[:2] for args in tails]
+        else:
+            # each rest of e is below (y + 1)^3 (y = 1010 for the failing
+            # e, 1000 for the monogenic one), so a failing e never reaches
+            # the tail, and a monogenic one only where its factorization is
+            # printed: in the filtered JSON stream and in iter_box
+            factored = [args[:2] for args in tails].count((n, tail))
+            assert factored == (0 if failing else 2)
         # one pool for each of the three searches
         assert len(serial_pool) == (3 if workers == 2 else 0)
         assert all(len(pool.submitted) == 2 for pool in serial_pool)
+
+    def test_a_rest_past_the_bound_still_reaches_the_tail(self, monkeypatch):
+        # one cell, so its segment is sieved to 1000 only, and the rest of
+        # e = 1009^2 * 1013 is at least 1001^3: not a square, yet it fails
+        # at 1009, which the Brent tail finds on every stream
+        b, d = 1, -257829013
+        e = b * b - 4 * d
+        assert e == 1009**2 * 1013 >= 1001**3
+        tails = count_calls(monkeypatch, search, "_factor_tail")
+        check_decided_box((b, b, d, d))
+        assert [args[:2] for args in tails] == [(e, e)] * 4
+        assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
+
+    def test_a_settled_monogenic_cell_cannot_give_up_on_e(self, monkeypatch):
+        # e = 1009 * 1013 is monogenic, and a budget of one step gives up on it
+        b, d = 1, -255529
+        want = format_item(_cell_report(b, d), "csv")
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1)
+        give_up = _cell_report(b, d)
+        assert isinstance(give_up, SearchError)
+        # a CSV walk settles it by the square test and prints its row; the
+        # streams that print its factorization factor e, and give up
+        assert list(search_lines(b, b, d, d, fmt="csv")) == [want]
+        assert list(search_lines(b, b, d, d, fmt="csv", monogenic_only=True)) == [want]
+        assert list(search_lines(b, b, d, d, monogenic_only=True)) == [format_item(give_up, "json")]
+        assert list(iter_box(b, b, d, d, monogenic_only=True)) == [give_up]
 
     def test_a_decided_cell_cannot_give_up_on_e(self, monkeypatch, serial_pool):
         monkeypatch.setattr(intarith, "_MAX_EFFORT", 1000)

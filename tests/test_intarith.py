@@ -291,10 +291,15 @@ class TestSieveProgression:
     PRIME_ABOVE_997_SQUARED = 994013
 
     def check(self, a, n):
-        found, rest = _sieve_progression(a, n)
+        sympy = pytest.importorskip("sympy")
+        found, rest, y = _sieve_progression(a, n)
         terms = [a - 4 * i for i in range(n)]
         assert len(found) == len(rest) == n
         top = max(abs(t) for t in terms)
+        # the bound: the cube root of T, where it lies past 1000 and within
+        # n * _SIEVE_PER_TERM, else 1000
+        root = sympy.integer_nthroot(top, 3)[0]
+        assert y == (root if 1000 < root <= n * intarith._SIEVE_PER_TERM else 1000)
         for term, f, r in zip(terms, found, rest):
             if term == 0:
                 assert (f, r) == ([(2, 0)], 1)
@@ -302,13 +307,19 @@ class TestSieveProgression:
             want = trial_factorization(term)
             assert f[0] == (2, want.get(2, 0)), term
             odd = [p for p, _ in f[1:]]
-            # exactly the odd primes below 1000 with p^2 <= max |term| dividing term
-            assert odd == sorted(p for p in want if 2 < p < 1000 and p * p <= top), term
+            # exactly the odd primes p <= y with p^2 <= max |term| dividing term
+            assert odd == sorted(p for p in want if 2 < p <= y and p * p <= top), term
             assert all(want[p] == j for p, j in f[1:]), term
             left = {p: k for p, k in want.items() if p != 2 and p not in odd}
             assert r == math.prod(p**k for p, k in left.items()), term
             # what _factor_tail may take: 1, a prime, or free of the primes below 1000
             assert r == 1 or left == {r: 1} or min(left) > 1000, term
+            if r < (y + 1) ** 3:
+                # the lemma: 1, p, p^2 or p*q, by sympy's factorization
+                assert sorted(sympy.factorint(r).values()) in ([], [1], [2], [1, 1]), term
+            else:
+                # only past the bound's reach
+                assert root > n * intarith._SIEVE_PER_TERM, term
 
     @pytest.mark.parametrize(
         "a, n",
@@ -328,6 +339,13 @@ class TestSieveProgression:
             (997**2, 3),  # largest |term| exactly 997^2, at the start
             (-1, 13),  # -1 down to -49: largest |term| exactly 7^2, at the end
             (997**2 - 8, 3),  # ends at 997^2 - 16 = 993 * 1001 = 3 * 7 * 11 * 13 * 331
+            (1009**3, 2),  # T = y^3 for y = 1009
+            (1010**3 - 1, 2),  # T = (y + 1)^3 - 1 = 7^3 * 13 * 229 * 1009
+            (1013**2 * 1003, 2),  # a rest 1013^2, past y = 1009
+            (1009**2 * 1013, 1),  # one term: root 1010 > 1000, so y = 1000
+            (1009**2 * 1013, 2),  # two terms: y = 1010 strips 1009^2
+            (-1009 * 1013 * 1019, 4),  # negative, y = 1013: rest 1019
+            (10**11 + 3, 3),  # y = 4641
         ],
     )
     def test_terms(self, a, n):
@@ -335,9 +353,34 @@ class TestSieveProgression:
 
     def test_largest_term_exactly_p_squared(self):
         # p^2 = max |term| is still sieved by p, at either end of the run
-        assert _sieve_progression(997**2, 1) == ([[(2, 0), (997, 2)]], [1])
-        found, rest = _sieve_progression(-1, 13)
+        assert _sieve_progression(997**2, 1) == ([[(2, 0), (997, 2)]], [1], 1000)
+        found, rest, _ = _sieve_progression(-1, 13)
         assert (found[-1], rest[-1]) == ([(2, 0), (7, 2)], 1)
+
+    def test_the_bound_at_a_cube_and_just_below_the_next(self):
+        # T = 1009^3: the bound is 1009, and 1009 itself is sieved
+        found, rest, y = _sieve_progression(1009**3, 2)
+        assert (y, found[0], rest[0]) == (1009, [(2, 0), (1009, 3)], 1)
+        # T = 1010^3 - 1, the largest with bound 1009
+        found, rest, y = _sieve_progression(1010**3 - 1, 2)
+        assert (y, found[0], rest[0]) == (1009, [(2, 0), (7, 3), (13, 1), (229, 1), (1009, 1)], 1)
+        assert _sieve_progression(1010**3, 2)[2] == 1010
+        # a square rest past the bound is a prime's square
+        found, rest, y = _sieve_progression(1013**2 * 1003, 2)
+        assert (y, found[0], rest[0]) == (1009, [(2, 0), (17, 1), (59, 1)], 1013**2)
+        # a lone term past the cube root's reach keeps the bound at 1000
+        # and leaves a rest of three primes, at least 1001^3
+        found, rest, y = _sieve_progression(1009**2 * 1013, 1)
+        assert (y, found, rest) == (1000, [[(2, 0)]], [1009**2 * 1013])
+        assert rest[0] >= 1001**3
+
+    def test_icbrt(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(5)
+        ns = list(range(3000)) + [k**3 + j for k in range(2, 5000, 37) for j in (-1, 0, 1)]
+        ns += [rng.randrange(10**k) for k in range(1, 60) for _ in range(5)]
+        for n in ns:
+            assert intarith._icbrt(n) == sympy.integer_nthroot(n, 3)[0], n
 
     @settings(max_examples=40)
     @given(
@@ -346,6 +389,16 @@ class TestSieveProgression:
     )
     def test_random_runs(self, a, n):
         self.check(a, n)
+
+    @settings(max_examples=10)
+    @given(
+        st.integers(min_value=1031 * 10**6, max_value=4 * 10**9),
+        st.sampled_from([-1, 1]),
+        st.integers(min_value=2, max_value=6),
+    )
+    def test_random_runs_past_1000(self, a, sign, n):
+        # T above 1.03 * 10^9, so the bound passes 1000
+        self.check(sign * a, n)
 
 
 class TestRadicalSquarefreeValuation:
