@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--b-bound", type=int, required=True, help="sample |b| up to this")
     p.add_argument("--d-bound", type=int, required=True, help="sample |d| up to this")
-    p.add_argument("--prime-cap", type=int, default=97, help="largest prime to test")
+    p.add_argument("--prime-cap", type=int, default=97, help="largest prime to test (at most 10^7)")
 
     return parser
 

@@ -203,10 +203,11 @@ def _least_index_prime(
     Unchecked: x^4 + b*x^2 + d is irreducible (so d and e = b^2 - 4d are
     nonzero); ``d_counts`` maps odd primes p to v_p(d), and ``e_counts``
     holds pairs (p, v_p(e)).  Entries for 2 are not read, and a prime whose
-    valuation is at most 1 may be left out.  A dense walk has both at hand:
-    its d table, and the segment sieve's found list for e, with the prime
-    square of the rest of e that a square test finds, or the Brent tail's
-    primes of that rest, added.
+    valuation is at most 1 may be left out.  Its one caller,
+    ``search._record``, has both at hand: d's exponents, and the primes of
+    e a walk has found (the dense walk's segment sieve, or the C4 walk's
+    full factorization), with the prime square a square test finds in the
+    rest of e, or the Brent tail's primes of that rest, added.
 
     The five branches reduce to a closed form, prime by prime:
 
@@ -237,13 +238,15 @@ def _least_index_prime(
     Every prime returned divides the index.  It is the cell's failing
     prime, the least prime dividing the index, when the tables list every
     q below it with q^2 | d or q^2 | e: with the full factorizations of d
-    and e that holds everywhere, and None then means monogenic.  A dense
-    walk has all of d and the primes of e up to its sieve's bound y.  Where
-    the rest of e is below (y + 1)^3 it is 1, p, p^2 or p*q for primes
-    past the sieve (see ``intarith._sieve_progression``), so the square
-    test adds the only q^2 | e the sieve missed, and the answer holds
-    everywhere with no factoring.  Past (y + 1)^3, where y = 1000, it
-    holds for an answer below 1000, and the Brent tail decides the rest.
+    and e (a C4 cell, or any cell after the Brent tail) that holds
+    everywhere, and None then means monogenic.  Before the tail, a cell of
+    the dense walk has all of d and the primes of e up to the sieve's bound
+    y.  Where the rest of e is below (y + 1)^3 it is 1, p, p^2 or p*q for
+    primes past the sieve (see ``intarith._sieve_progression``), so the
+    square test adds the only q^2 | e the sieve missed, and the answer
+    holds everywhere with no factoring.  Past (y + 1)^3, where y = 1000,
+    it holds for an answer below 1000; ``search._record`` lets the tail
+    decide any other.
     """
     if (b % 4, d % 4) in _FAILS_AT_2:
         return 2

@@ -16,25 +16,29 @@ no column for them, so they are dropped from the stream and reported through
 the ``on_skip`` callback instead.
 
 Every walk, dense or ``c4_only``, yields each cell it can classify as the
-record (b, d, e, v).  A walk that writes CSV, or keeps only monogenic cells,
-decides every cell from the closed form of the index criterion: v is None
-for a reducible cell, the least prime dividing the index for a failing one,
-and the discriminant's factorization for a monogenic one, which a CSV walk
-leaves out.  The dense walk sieves e to its cube root where that is cheaper
-than factoring the rest (see ``intarith._sieve_progression``); the rest is
-then 1, p, p^2 or p*q, so a square test finds any prime square in it, and
-the cell is decided with no factoring.  Elsewhere it decides a reducible
-cell, or one sunk at a prime below 1000, in the same way.  Such a cell
-never reaches the factorizer's Brent tail, and a give-up there cannot
-happen to it.  Every other cell, and every C4 cell, is decided once d and
-e are factored in full, and so is a monogenic cell whose factorization a
-filtered JSON stream or ``iter_box`` prints.  A walk that does not decide
-(an unfiltered JSON walk) carries the factorization in every record, or
-None where e = 0 and disc = 0.  CSV writes every row from its record, and
-``monogenic_only`` keeps only the monogenic records.  A JSON line is
-written from its record and the verdicts the engine yields for it, each
-shared verdict's text rendered once per stream.  Only ``iter_box`` builds
-a report, from the factorization its record carries.
+record (b, d, e, v), and ``_record`` is the one place that makes it, from
+the factors the walk found and the rest of e.  A walk that writes CSV, or
+keeps only monogenic cells, decides every cell from the closed form of the
+index criterion: v is None for a reducible cell, the least prime dividing
+the index for a failing one, and the discriminant's factorization for a
+monogenic one, which a CSV walk leaves out.  The dense walk sieves e to its
+cube root where that is cheaper than factoring the rest (see
+``intarith._sieve_progression``); the rest is then 1, p, p^2 or p*q, so a
+square test finds any prime square in it, and the cell is decided with no
+factoring.  The C4 walk factors d and e in full, so no rest is left.
+Elsewhere a reducible cell, or one sunk at a prime below 1000, is decided
+in the same way.  Such a cell never reaches the factorizer's Brent tail,
+and a give-up there cannot happen to it.  Every other cell is decided
+once the tail has factored the rest of e, and so is a monogenic cell
+whose factorization a filtered JSON stream or ``iter_box`` prints.  A walk
+that does not decide (an unfiltered JSON walk, or the C4 walk of
+``verify_theorem``, which keeps the five-branch engine) carries the
+factorization in every record, or None where e = 0 and disc = 0.  CSV
+writes every row from its record, and ``monogenic_only`` keeps only the
+monogenic records.  A JSON line is written from its record and the
+verdicts the engine yields for it, each shared verdict's text rendered
+once per stream.  Only ``iter_box`` builds a report, from the
+factorization its record carries.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .intarith import (
 )
 from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, _verdicts, is_monogenic
 from ._scan_py import scan_c4
-from .scan import _check_box, scan_c4_candidates
+from .scan import _check_box
 from .trinomial import (
     Trinomial,
     _c4,
@@ -198,16 +202,35 @@ def _items(
 
 def _record(
     b: int, d: int, e: int, d_counts: dict[int, int], e_counts: Iterable[tuple[int, int]],
-    decide: int,
+    r: int, exact: bool, decide: int,
 ) -> _Decided:
-    # the record of a cell with d and e factored in full: d_counts holds 2^4
-    # and d's exponents, e_counts the pairs (p, v_p(e)), read twice.  With
-    # decide the cell is irreducible, and the closed form of the index
-    # criterion sinks it at its least prime dividing the index, if any
+    # the record of a cell, the one place a walk makes it: d_counts holds 2^4
+    # and d's exponents, e_counts the pairs (p, v_p(e)) found so far, r the
+    # rest of |e| (1 where e is factored in full), and exact tells that r is
+    # below the sieve's (y + 1)^3.  With decide the cell is irreducible, and
+    # the closed form of the index criterion sinks it at its least prime
+    # dividing the index, if any: before the Brent tail where r is exact or
+    # that prime is below 1000, else after it.  A give-up on r is raised
     if decide:
+        if exact:
+            # r is 1, p, p^2 or p*q for primes p, q past the sieve, so a
+            # square above 1 is the one prime square in it
+            s = isqrt(r)
+            if r > 1 and s * s == r:
+                e_counts = [*e_counts, (s, 2)]
         p = _least_index_prime(b, d, d_counts, e_counts)
-        if p is not None:
+        if p is not None and (exact or p < _TRIAL_LIMIT):
             return b, d, e, p
+        if exact and decide == _SETTLED:
+            return b, d, e, _MONOGENIC
+    if r > 1:
+        tail: dict[int, int] = {}
+        _factor_tail(e, r, tail, 1)
+        e_counts = [*e_counts, *tail.items()]
+        if decide and not exact:
+            p = _least_index_prime(b, d, d_counts, e_counts)
+            if p is not None:
+                return b, d, e, p
     counts = dict(d_counts)
     for p, j in e_counts:
         counts[p] = counts.get(p, 0) + 2 * j
@@ -218,7 +241,8 @@ def _c4_items(cells: list[tuple[int, int]], decide: int) -> Iterator[_Item]:
     # the C4 cells one by one, few and far apart, where a sieve would cost
     # more than the cells it serves.  d and then e are factored in full, as
     # factor_discriminant does, so a give-up names the same number with the
-    # same text.  A C4 cell is irreducible, with d and e positive
+    # same text, and no rest of e is left.  A C4 cell is irreducible, with
+    # d and e positive
     for b, d in cells:
         e = b * b - 4 * d
         d_counts = {2: 4}
@@ -226,10 +250,10 @@ def _c4_items(cells: list[tuple[int, int]], decide: int) -> Iterator[_Item]:
         try:
             _factor_into(d, d_counts, 1)
             _factor_into(e, e_counts, 1)
+            item = _record(b, d, e, d_counts, e_counts.items(), 1, True, decide)
         except FactorizationIncomplete as exc:
-            yield SearchError(Trinomial(b, d), str(exc))
-            continue
-        yield _record(b, d, e, d_counts, e_counts.items(), decide)
+            item = SearchError(Trinomial(b, d), str(exc))
+        yield item
 
 
 # cells per sieve segment along a row: a segment is sieved before its first
@@ -253,15 +277,10 @@ def _dense_items(
     # every cell, row by row, with factorizations shared across the walk.
     # Each d is factored once, on first use, and kept in d_counts (or its
     # give-up kept) for every later row.  Along a row, e = b^2 - 4d steps
-    # down by 4 and is sieved segment by segment, to a bound y; d and the
-    # rest of e wait for their cell, and that rest goes to the factorizer's
-    # Brent tail, as in factor.  Every cell is yielded as its record.  With
-    # decide, a cell whose rest of e is below (y + 1)^3 is decided from d's
-    # table, the sieve and a square test on that rest, before that tail;
-    # past it, a cell that is reducible, or whose index a prime below 1000
-    # divides, is decided from d's table and the sieve.  Any other cell, or
-    # a monogenic one whose factorization _DECIDED carries, is decided by
-    # _record from d's table and all of e, after the tail
+    # down by 4 and is sieved segment by segment, to a bound y.  With
+    # decide, a reducible cell is recorded here; every other cell becomes
+    # its record in _record, from d's table, the sieve's primes of e and
+    # the rest of e, which waits for its cell
     for b in range(b_min, b_max + 1):
         bb = b * b
         for lo in range(d_min, d_max + 1, _SEGMENT):
@@ -286,37 +305,14 @@ def _dense_items(
                     d_counts[d] = got
                 if isinstance(got, FactorizationIncomplete):
                     yield SearchError(Trinomial(b, d), str(got))
-                    continue
-                e_counts = found[i]
-                r = rest[i]
-                if decide:
-                    if not _irreducible(b, d, e):
-                        yield b, d, e, None
-                        continue
-                    # below (y + 1)^3, r is 1, p, p^2 or p*q for primes p, q
-                    # past the sieve, so a square above 1 is the one prime
-                    # square in it, and the closed form is exact
-                    exact = r < cube
-                    if exact:
-                        s = isqrt(r)
-                        if r > 1 and s * s == r:
-                            e_counts = e_counts + [(s, 2)]
-                    p = _least_index_prime(b, d, got, e_counts)
-                    if p is not None and (exact or p < _TRIAL_LIMIT):
-                        yield b, d, e, p
-                        continue
-                    if exact and decide == _SETTLED:
-                        yield b, d, e, _MONOGENIC
-                        continue
-                if r > 1:
-                    tail: dict[int, int] = {}
+                elif decide and not _irreducible(b, d, e):
+                    yield b, d, e, None
+                else:
                     try:
-                        _factor_tail(e, r, tail, 1)
+                        item = _record(b, d, e, got, found[i], rest[i], rest[i] < cube, decide)
                     except FactorizationIncomplete as exc:
-                        yield SearchError(Trinomial(b, d), str(exc))
-                        continue
-                    e_counts = e_counts + list(tail.items())
-                yield _record(b, d, e, got, e_counts, decide)
+                        item = SearchError(Trinomial(b, d), str(exc))
+                    yield item
 
 
 def _settled_csv(b: int, d: int, e: int, v: int | Factorization | str | None) -> str:
@@ -627,12 +623,20 @@ def verify_theorem(b_bound: int, d_bound: int) -> TheoremVerification:
     x^4 - 5x^2 + 5, x^4 - 4x^2 + 2, and x^4 + 4x^2 + 2, and their field
     invariants split them into three provably distinct fields.  Bounds must
     be at least 5 so the box can contain all three witnesses.
+
+    The candidates are those of ``iter_box(-b_bound, b_bound, 1, d_bound,
+    c4_only=True)``, each classified by the five-branch engine at every
+    prime, so the check does not rest on the closed form the deciding
+    searches use.  A cell the factorizer gives up on raises its
+    ``FactorizationIncomplete``.
     """
     if b_bound < 5 or d_bound < 5:
         raise ValueError("bounds below 5 cannot contain the three known witnesses")
     reports = []
-    for b, d in scan_c4_candidates(-b_bound, b_bound, 1, d_bound):
-        r = is_monogenic(Trinomial(b, d))
+    for item in iter_box(-b_bound, b_bound, 1, d_bound, c4_only=True):
+        # the per-cell route gives up on an error record's cell as the walk
+        # did, and raises the factorizer's own FactorizationIncomplete
+        r = is_monogenic(item.trinomial) if isinstance(item, SearchError) else item
         if r.monogenic:
             reports.append(r)
     found = tuple(r.trinomial for r in reports)
@@ -674,6 +678,11 @@ class OracleCheckResult:
         return _json_form(self)
 
 
+# the largest prime_cap oracle_check takes: its sieve of the primes up to
+# the cap holds cap + 1 bytes and a list of those primes
+_PRIME_CAP_MAX = 10**7
+
+
 def oracle_check(
     samples: int,
     seed: int,
@@ -689,17 +698,21 @@ def oracle_check(
     Draws (b, d) uniformly from the box until ``samples`` irreducible
     trinomials are found, then runs both index tests at every prime
     q <= prime_cap dividing the discriminant; agreements count (t, q)
-    pairs.  The Dedekind verdict at q depends only on (b, d) mod q^2 (see
-    :mod:`.dedekind`), so each call computes it once per such class and
-    reuses it for every later pair in the class; the engine still runs on
-    every pair.  Sampling is seeded and fully reproducible.  Rejection
-    sampling gives up once attempts far exceed ``samples``, so a box with
-    few usable cells yields fewer samples rather than a hang.
+    pairs.  ``prime_cap`` lies between 2 and 10^7, so the sieve of the
+    primes up to it stays bounded.  The Dedekind verdict at q depends only
+    on (b, d) mod q^2 (see :mod:`.dedekind`), so each call computes it once
+    per such class and reuses it for every later pair in the class; the
+    engine still runs on every pair.  Sampling is seeded and fully
+    reproducible.  Rejection sampling gives up once attempts far exceed
+    ``samples``, so a box with few usable cells yields fewer samples rather
+    than a hang.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     if prime_cap < 2:
         raise ValueError("prime_cap must be at least 2")
+    if prime_cap > _PRIME_CAP_MAX:
+        raise ValueError(f"prime_cap must be at most {_PRIME_CAP_MAX}")
     _check_box(b_min, b_max, d_min, d_max)
     rng = random.Random(seed)
     small_primes = primes_upto(prime_cap)

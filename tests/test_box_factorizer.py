@@ -422,6 +422,22 @@ class TestDecideBeforeFactoring:
         assert [args[:2] for args in tails] == [(e, e)] * 4
         assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
 
+    def test_a_prime_of_d_above_1000_waits_for_the_tail_past_the_bound(self):
+        # one cell, so its segment is sieved to 1000 only, and the rest of
+        # e = -4 * 1009^2 * 1019^2 is past 1001^3.  Before the tail, d's
+        # table sinks the cell at 1019, but the tail finds 1009 in e, the
+        # least prime dividing the index
+        b, d = 2038, 1057136643602
+        assert d == 2 * 13 * 1019**2 * 39157
+        assert b * b - 4 * d == -4 * 1009**2 * 1019**2
+        assert (1009 * 1019) ** 2 >= 1001**3
+        report = _cell_report(b, d)
+        assert report.failing_prime() == 1009
+        check_decided_box((b, b, d, d))
+        assert next(search_lines(b, b, d, d, fmt="csv")).endswith(",1009")
+        assert list(search_lines(b, b, d, d, monogenic_only=True)) == []
+        assert list(iter_box(b, b, d, d)) == [report]
+
     def test_a_settled_monogenic_cell_cannot_give_up_on_e(self, monkeypatch):
         # e = 1009 * 1013 is monogenic, and a budget of one step gives up on it
         b, d = 1, -255529

@@ -407,6 +407,33 @@ class TestVerifyTheorem:
         assert set(d) == {"found", "pass", "classes", "undecided_pairs"}
         assert d["pass"] is True
 
+    def test_a_give_up_raises_the_factorizers_own_error(self, monkeypatch, capsys):
+        # with a budget of one step the first candidate given up on is
+        # (-2980, 94178), whose e = 8503688 = 8 * 1031^2 needs the Brent tail
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1)
+        message = "factorization of 8503688 exceeded effort budget at cofactor 1062961"
+        with pytest.raises(FactorizationIncomplete) as info:
+            verify_theorem(3000, 300000)
+        assert info.value.n == 8503688
+        assert str(info.value) == message
+        assert main(["verify-theorem", "--b-bound", "3000", "--d-bound", "300000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("b_bound, d_bound", [(30, 400), (300, 30000)])
+    def test_the_theorem_does_not_rest_on_the_closed_form(self, monkeypatch, b_bound, d_bound):
+        # every candidate runs the five-branch engine, so the check stays
+        # independent of the closed form the CSV and filtered searches use
+        def closed_form(*args):
+            raise AssertionError("verify_theorem reached the closed form")
+
+        monkeypatch.setattr(search, "_least_index_prime", closed_form)
+        res = verify_theorem(b_bound, d_bound)
+        assert res.passed
+        reports = [_cell_report(b, d) for b, d in scan_c4(-b_bound, b_bound, 1, d_bound)]
+        assert res.found == tuple(r.trinomial for r in reports if r.monogenic)
+
 
 class TestOracleCheck:
     def test_seeded_reproducibility(self):
@@ -438,6 +465,24 @@ class TestOracleCheck:
     def test_prime_cap_below_2_rejected(self):
         with pytest.raises(ValueError):
             oracle_check(5, 1, -10, 10, -10, 10, prime_cap=1)
+
+    def test_prime_cap_above_10_to_the_7_rejected_before_any_sieve(self, monkeypatch):
+        # the sieve of primes up to the cap holds cap + 1 bytes and a list of
+        # the primes; a cap past the bound must never reach it
+        sieves = []
+
+        def sieve(n):
+            sieves.append(n)
+            return [2, 3]
+
+        monkeypatch.setattr(search, "primes_upto", sieve)
+        for cap in (10**7 + 1, 10**12):
+            with pytest.raises(ValueError, match="at most 10000000"):
+                oracle_check(5, 1, -10, 10, -10, 10, prime_cap=cap)
+        assert sieves == []
+        # the bound itself is taken
+        oracle_check(5, 1, -10, 10, -10, 10, prime_cap=10**7)
+        assert sieves == [10**7]
 
 
 def flip_first_oracle_answer(monkeypatch):
@@ -533,6 +578,20 @@ class TestOracleCheckEdges:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_cli_huge_prime_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(search, "primes_upto", lambda n: pytest.fail(f"sieve of {n} built"))
+        rc = main(
+            [
+                "oracle-check",
+                "--samples", "5", "--seed", "1",
+                "--b-bound", "10", "--d-bound", "10", "--prime-cap", str(10**12),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: prime_cap must be at most 10000000\n"
 
 
 class TestCli:
