@@ -32,7 +32,9 @@ branch 3 at an odd q by (q, d), since b1 = 0 there, one of branch 4 by
 (b, d) mod 4, and a placeholder by its prime.  Each of these comes from a
 bounded cache, so a search over a box, where they repeat from cell to cell,
 builds few of them.  Only branches 2 and 3 at q = 2, whose intermediates
-hold b/2, (d + d^4)/2 or d/2, are built per cell.
+hold b/2, (d + d^4)/2 or d/2, are built per cell.  A verdict renders its
+JSON text once, on first use, and keeps it, so a shared verdict's text is
+written once for every cell and stream that prints it.
 """
 
 from __future__ import annotations
@@ -100,6 +102,26 @@ class PrimeVerdict:
     def to_dict(self) -> dict:
         return _json_form(self)
 
+    @functools.cached_property
+    def _json(self) -> str:
+        # the bytes of the compact JSON encoding of to_dict(), in its key
+        # order, rendered on first use and kept on the object.  Not a field,
+        # so ==, hash, repr and to_dict() never see it
+        out = (
+            f'{{"prime":{self.prime},"evaluated":{"true" if self.evaluated else "false"},'
+            f'"divides_index":{"true" if self.divides_index else "false"},'
+            f'"branch":{"null" if self.branch is None else self.branch}'
+        )
+        i = self.intermediates
+        if i is not None:
+            # every field of BranchIntermediates is optional: its set ones, in order
+            fields = ",".join(f'"{k}":{x}' for k, x in vars(i).items() if x is not None)
+            out += f',"intermediates":{{{fields}}}'
+        for name, poly in (("h1", self.h1), ("h2", self.h2), ("h_gcd", self.h_gcd)):
+            if poly is not None:
+                out += f',"{name}":[' + ",".join(map(str, poly)) + "]"
+        return out + "}"
+
 
 def _exact_div(num: int, q: int) -> int:
     quo, rem = divmod(num, q)
@@ -166,12 +188,6 @@ def _branch_4_mod4(b: int, d: int) -> PrimeVerdict:
 def _branch_5(t: Trinomial, q: int) -> PrimeVerdict:
     e = t.b * t.b - 4 * t.d
     return _plain(q, e % (q * q) == 0, 5)
-
-
-def _is_shared(v: PrimeVerdict) -> bool:
-    # whether v may be handed to many cells: every verdict but those with
-    # intermediates at q = 2 (branches 2 and 3 there), built per cell
-    return v.prime != 2 or v.intermediates is None
 
 
 def _verdict(t: Trinomial, q: int) -> PrimeVerdict:

@@ -36,9 +36,10 @@ that does not decide (an unfiltered JSON walk, or the C4 walk of
 factorization in every record, or None where e = 0 and disc = 0.  CSV
 writes every row from its record, and ``monogenic_only`` keeps only the
 monogenic records.  A JSON line is written from its record and the
-verdicts the engine yields for it, each shared verdict's text rendered
-once per stream.  Only ``iter_box`` builds a report, from the
-factorization its record carries.
+verdicts the engine yields for it.  Each verdict renders its text once and
+keeps it, so a shared verdict is rendered once for every cell and stream.
+Only ``iter_box`` builds a report, from the factorization its record
+carries.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from math import isqrt
 from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
-from .index_criterion import PrimeVerdict, _is_shared, _least_index_prime, _verdict
+from .index_criterion import PrimeVerdict, _least_index_prime, _verdict
 from .dedekind import _divides_index
 from .intarith import (
     _TRIAL_LIMIT,
@@ -93,8 +94,8 @@ __all__ = [
 
 CSV_HEADER = "b,d,irreducible,c4,disc,monogenic,r1,r2,failing_prime"
 
-# the compact encoding every JSON line has; _json_cell and _json_error write
-# it directly and use this encoder only to escape error messages
+# the compact encoding every JSON line has; it writes the error records,
+# while _json_cell writes the others directly, with the same bytes
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -332,79 +333,25 @@ def _bool_str(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _json_opt(v: int | None) -> str:
-    return "null" if v is None else str(v)
-
-
-def _json_verdict(v: PrimeVerdict) -> str:
-    # the bytes of _JSON.encode(v.to_dict()), in its key order
-    out = (
-        f'{{"prime":{v.prime},"evaluated":{_bool_str(v.evaluated)},'
-        f'"divides_index":{_bool_str(v.divides_index)},"branch":{_json_opt(v.branch)}'
-    )
-    i = v.intermediates
-    if i is not None:
-        # every field of BranchIntermediates is optional: its set ones, in order
-        fields = ",".join(f'"{k}":{x}' for k, x in vars(i).items() if x is not None)
-        out += f',"intermediates":{{{fields}}}'
-    for name, poly in (("h1", v.h1), ("h2", v.h2), ("h_gcd", v.h_gcd)):
-        if poly is not None:
-            out += f',"{name}":[' + ",".join(map(str, poly)) + "]"
-    return out + "}"
-
-
-# the most verdict texts one stream keeps; the memo is emptied when full
-_TEXT_MEMO = 4096
-
-
-def _verdict_text() -> Callable[[PrimeVerdict], str]:
-    """``_json_verdict`` behind a memo of one stream's shared verdicts.
-
-    Only the verdicts the engine shares are kept; the others are built per
-    cell and never repeat.  The memo is keyed by object identity and holds
-    each verdict it keys, so no other object can take its id.
-    """
-    memo: dict[int, tuple[PrimeVerdict, str]] = {}
-
-    def text(v: PrimeVerdict) -> str:
-        hit = memo.get(id(v))
-        if hit is not None:
-            return hit[1]
-        out = _json_verdict(v)
-        if _is_shared(v):
-            if len(memo) >= _TEXT_MEMO:
-                memo.clear()
-            memo[id(v)] = v, out
-        return out
-
-    return text
-
-
-def _json_error(item: SearchError) -> str:
-    # the bytes of _JSON.encode(item.to_dict())
-    t = item.trinomial
-    return f'{{"trinomial":{{"b":{t.b},"d":{t.d}}},"error":{_JSON.encode(item.message)}}}'
-
-
 def _json_cell(
     b: int,
     d: int,
     e: int,
     fact: Factorization | None,
     verdicts: Iterable[PrimeVerdict],
-    text: Callable[[PrimeVerdict], str] = _json_verdict,
 ) -> str:
-    """The one JSON writer: the bytes of ``_JSON.encode(report.to_dict())``.
+    """The one writer of a cell's JSON line: the bytes of ``_JSON.encode(report.to_dict())``.
 
     The report is that of the cell (b, d), with e = b^2 - 4d, ``fact`` the
     factorization of its discriminant (None where it is 0) and ``verdicts``
-    the cell's verdicts, each rendered by ``text``.  These are empty exactly
-    when the cell is reducible, as 2 divides every discriminant.
+    the cell's verdicts, each of which renders its own text.  These are
+    empty exactly when the cell is reducible, as 2 divides every
+    discriminant.
     """
     texts = []
     monogenic = True
     for v in verdicts:
-        texts.append(text(v))
+        texts.append(v._json)
         if v.divides_index:
             monogenic = False
     disc = 16 * d * e * e
@@ -432,7 +379,7 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
     """One output line for an item, or None when the format cannot carry it."""
     if fmt == "json":
         if isinstance(item, SearchError):
-            return _json_error(item)
+            return _JSON.encode(item.to_dict())
         b, d = item.trinomial.b, item.trinomial.d
         return _json_cell(b, d, b * b - 4 * d, item.disc_factored, item.verdicts)
     if fmt != "csv":
@@ -448,22 +395,21 @@ def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> 
     """One line per item; each item the format cannot carry goes to ``on_skip``.
 
     A JSON line is written from its record and the verdicts the engine
-    yields for it, with no report built; the verdict texts are memoized for
-    this stream alone.
+    yields for it, with no report built; each verdict renders its text once
+    and keeps it, so a shared one serves every cell and stream.
     """
-    text = _verdict_text()
     for item in items:
         if isinstance(item, SearchError):
             if fmt == "csv":
                 on_skip(f"b={item.trinomial.b} d={item.trinomial.d}: {item.message}")
             else:
-                yield _json_error(item)
+                yield _JSON.encode(item.to_dict())
         elif fmt == "csv":
             yield _settled_csv(*item)
         else:
             b, d, e, fact = item
             verdicts = _verdicts(Trinomial(b, d), fact.primes()) if _irreducible(b, d, e) else ()
-            yield _json_cell(b, d, e, fact, verdicts, text)
+            yield _json_cell(b, d, e, fact, verdicts)
 
 
 # cells (or C4 candidates) per parallel chunk: the unit a pool worker

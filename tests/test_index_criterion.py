@@ -8,7 +8,6 @@ from c4quartic.index_criterion import (
     PrimeVerdict,
     _branch_3_odd,
     _branch_4_mod4,
-    _is_shared,
     _least_index_prime,
     _plain,
     _verdict,
@@ -348,12 +347,16 @@ class TestSharedVerdicts:
                         key = (q, d)
                     elif v.branch in (1, 5):
                         key = (q, v.divides_index, v.branch)
-                    else:
-                        # branch 4 has a cache of its own four verdicts;
-                        # branches 2 and 3 at 2 are built per cell
-                        assert _is_shared(v) == (v.branch == 4), (b, d, q)
+                    elif v.branch == 4:
+                        # a cache of its own four verdicts
+                        assert _verdict(t, q) is v, (b, d, q)
                         continue
-                    assert _is_shared(v), (b, d, q)
+                    else:
+                        # branches 2 and 3 at 2 are built per cell
+                        again = _verdict(t, q)
+                        assert again == v and again is not v, (b, d, q)
+                        continue
+                    assert _verdict(t, q) is v, (b, d, q)
                     repeats += key in shared
                     assert shared.setdefault(key, v) is v, (b, d, q)
         # every branch, and branches 1 and 3 both at 2 and at an odd q
@@ -361,8 +364,8 @@ class TestSharedVerdicts:
         assert repeats > len(shared)
 
     def test_placeholders_are_shared(self):
-        assert _is_shared(PrimeVerdict.skipped(2))
-        assert _is_shared(PrimeVerdict.skipped(7))
+        for q in (2, 7):
+            assert PrimeVerdict.skipped(q) is PrimeVerdict.skipped(q)
 
     def test_caches_are_bounded(self):
         for cached in (_plain, _branch_3_odd, PrimeVerdict.skipped):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -126,16 +127,11 @@ class TestFormatting:
         assert seen >= {(2, "disjunct", k) for k in (1, 2, None)}
         assert seen >= {(3, "disjunct", k) for k in (1, None)}
 
-    @pytest.mark.parametrize("memo_cap", [search._TEXT_MEMO, 3])
-    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool, memo_cap):
+    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool):
         # format_item shares the streams' writer, so the reference is the
-        # json module on the reference reports; a cap of 3 empties the memo
-        # of verdict texts over and over
-        monkeypatch.setattr(search, "_TEXT_MEMO", memo_cap)
+        # json module on the reference reports
         built = count_calls(monkeypatch, search, "_report")
         items = reference_items(SHAPES_BOX)
-        verdicts = {v for r in items if isinstance(r, MonogenicityReport) for v in r.verdicts}
-        assert len(verdicts) > 3
         for monogenic_only in (False, True):
             want = [_JSON.encode(r.to_dict()) for r in items if kept(r, monogenic_only)]
             for workers in (1, 2):
@@ -185,6 +181,56 @@ class TestFormatting:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             format_item(is_monogenic(Trinomial(5, 5)), "xml")
+
+
+def shape_verdicts():
+    """The distinct verdict objects of SHAPES_BOX, which hold every verdict shape."""
+    verdicts = {}
+    for item in iter_box(*SHAPES_BOX):
+        if isinstance(item, MonogenicityReport):
+            for v in item.verdicts:
+                verdicts[id(v)] = v
+    verdicts = list(verdicts.values())
+    shapes = {(v.branch, v.divides_index) for v in verdicts}
+    assert shapes >= {(k, x) for k in (1, 2, 3, 4, 5) for x in (False, True)}
+    assert (None, False) in shapes
+    disjuncts = {(v.branch, v.intermediates.disjunct) for v in verdicts if v.branch in (2, 3)}
+    assert disjuncts == {(2, 1), (2, 2), (2, None), (3, 1), (3, None)}
+    return verdicts
+
+
+class TestVerdictText:
+    def test_every_verdict_renders_the_encoders_bytes_once(self):
+        for v in shape_verdicts():
+            text = v._json
+            assert text == _JSON.encode(v.to_dict()), v
+            assert "_json" in vars(v)
+            assert v._json is text
+
+    def test_the_text_is_not_part_of_the_value(self):
+        for v in shape_verdicts():
+            copy = dataclasses.replace(v)
+            assert "_json" not in vars(copy)
+            v._json
+            assert "_json" not in {f.name for f in dataclasses.fields(v)}
+            assert v == copy and hash(v) == hash(copy)
+            assert repr(v) == repr(copy)
+            assert v.to_dict() == copy.to_dict()
+
+    def test_texts_kept_across_streams_match_a_fresh_process(self, serial_pool):
+        # the texts outlive the stream that rendered them, so later streams,
+        # serial or parallel, print them as a process that renders anew does
+        argv = [f"--{k}={x}" for k, x in zip(("b-min", "b-max", "d-min", "d-max"), SHAPES_BOX)]
+        fresh = subprocess.run(
+            [sys.executable, "-m", "c4quartic", "search", *argv, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            check=True,
+        ).stdout
+        for workers in (1, 1, 2):
+            assert "".join(line + "\n" for line in search_lines(*SHAPES_BOX, workers=workers)) == fresh
+        assert len(serial_pool) == 1
 
 
 # boxes whose chunks differ with the worker count: a chunk is about
