@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import c4quartic
-from c4quartic import intarith, search
+from c4quartic import index_criterion, intarith, search
 from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples, scan_c4
 from c4quartic.cli import main
 from c4quartic.intarith import FactorizationIncomplete
@@ -127,11 +128,20 @@ class TestFormatting:
         assert seen >= {(2, "disjunct", k) for k in (1, 2, None)}
         assert seen >= {(3, "disjunct", k) for k in (1, None)}
 
-    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool):
+    @pytest.mark.parametrize("cache_cap", [index_criterion._plain.cache_info().maxsize, 3])
+    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool, cache_cap):
         # format_item shares the streams' writer, so the reference is the
-        # json module on the reference reports
+        # json module on the reference reports; a cap of 3 on the caches of
+        # shared verdicts evicts them over and over, so their texts are
+        # rendered anew on fresh objects
+        for name in ("_plain", "_branch_3_odd"):
+            cached = getattr(index_criterion, name)
+            size = min(cache_cap, cached.cache_info().maxsize)
+            monkeypatch.setattr(index_criterion, name, functools.lru_cache(maxsize=size)(cached.__wrapped__))
         built = count_calls(monkeypatch, search, "_report")
         items = reference_items(SHAPES_BOX)
+        verdicts = {v for r in items if isinstance(r, MonogenicityReport) for v in r.verdicts}
+        assert len(verdicts) > 3
         for monogenic_only in (False, True):
             want = [_JSON.encode(r.to_dict()) for r in items if kept(r, monogenic_only)]
             for workers in (1, 2):
@@ -140,6 +150,7 @@ class TestFormatting:
         # the streams build no report, filtered or not, on any worker count
         assert built == []
         assert len(serial_pool) == 2
+        assert index_criterion._plain.cache_info().currsize <= cache_cap
 
     @given(
         st.integers(min_value=-10**12, max_value=10**12),
