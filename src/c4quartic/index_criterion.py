@@ -30,11 +30,14 @@ Verdicts are frozen, so equal ones may be one object, and most are: a
 verdict of branch 1 or 5 is fixed by (q, divides_index, branch), one of
 branch 3 at an odd q by (q, d), since b1 = 0 there, one of branch 4 by
 (b, d) mod 4, and a placeholder by its prime.  Each of these comes from a
-bounded cache, so a search over a box, where they repeat from cell to cell,
-builds few of them.  Only branches 2 and 3 at q = 2, whose intermediates
-hold b/2, (d + d^4)/2 or d/2, are built per cell.  A verdict renders its
-JSON text once, on first use, and keeps it, so a shared verdict's text is
-written once for every cell and stream that prints it.
+bounded cache, so a run over many cells, where they repeat from cell to
+cell, builds few of them.  Only branches 2 and 3 at q = 2, whose
+intermediates hold b/2, (d + d^4)/2 or d/2, are built per cell.  These
+caches serve the callers that build verdicts: ``iter_box`` reports,
+``verify_theorem`` and ``oracle_check``.  A JSON search line builds none:
+``_verdict_texts`` writes each verdict's text straight from (b, d, e) by
+the closed form of ``_least_index_prime``, and this engine is its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -101,26 +104,6 @@ class PrimeVerdict:
 
     def to_dict(self) -> dict:
         return _json_form(self)
-
-    @functools.cached_property
-    def _json(self) -> str:
-        # the bytes of the compact JSON encoding of to_dict(), in its key
-        # order, rendered on first use and kept on the object.  Not a field,
-        # so ==, hash, repr and to_dict() never see it
-        out = (
-            f'{{"prime":{self.prime},"evaluated":{"true" if self.evaluated else "false"},'
-            f'"divides_index":{"true" if self.divides_index else "false"},'
-            f'"branch":{"null" if self.branch is None else self.branch}'
-        )
-        i = self.intermediates
-        if i is not None:
-            # every field of BranchIntermediates is optional: its set ones, in order
-            fields = ",".join(f'"{k}":{x}' for k, x in vars(i).items() if x is not None)
-            out += f',"intermediates":{{{fields}}}'
-        for name, poly in (("h1", self.h1), ("h2", self.h2), ("h_gcd", self.h_gcd)):
-            if poly is not None:
-                out += f',"{name}":[' + ",".join(map(str, poly)) + "]"
-        return out + "}"
 
 
 def _exact_div(num: int, q: int) -> int:
@@ -268,6 +251,77 @@ def _least_index_prime(
         return 2
     pairs = itertools.chain(d_counts.items(), e_counts)
     return min((p for p, j in pairs if j > 1 and p > 2), default=None)
+
+
+# the h1, h2 and h_gcd of a branch 4 verdict by (b, d) mod 4, both odd:
+# h1 = x^2 + x + 1 and h2 = d(1 + d)/2 + x + b(1 + b)/2 * x^2 over GF(2),
+# whose gcd is h1 exactly at (1, 1), as _least_index_prime derives
+_BRANCH_4_POLYS = {
+    (1, 1): ',"h1":[1,1,1],"h2":[1,1,1],"h_gcd":[1,1,1]',
+    (1, 3): ',"h1":[1,1,1],"h2":[0,1,1],"h_gcd":[1]',
+    (3, 1): ',"h1":[1,1,1],"h2":[1,1],"h_gcd":[1]',
+    (3, 3): ',"h1":[1,1,1],"h2":[0,1],"h_gcd":[1]',
+}
+
+# the disjunct of branch 2 that certifies freeness by (b, d) mod 4, b even and
+# d odd; (0, 3) and (2, 1) have none
+_BRANCH_2_DISJUNCT = {(0, 1): ',"disjunct":1', (2, 3): ',"disjunct":2'}
+
+
+def _verdict_texts(b: int, d: int, e: int, primes: Iterable[int]) -> tuple[list[str], bool]:
+    """The JSON text of the cell's verdict at each prime, and whether none divides the index.
+
+    Each text is the bytes of the compact JSON encoding of the engine's
+    verdict's ``to_dict()``, written from (b, d, e) by the closed form of
+    ``_least_index_prime`` with no verdict built.  Unchecked: x^4 + b*x^2 + d
+    is irreducible, e = b^2 - 4d, and ``primes`` are primes dividing its
+    discriminant, in increasing order.  As in ``monogenic._verdicts``, the
+    primes after the first that divides the index get placeholder texts.
+
+    - At 2 the branch is read off the parities of b and d, and the rest off
+      (b, d) mod 4: whether 2 divides the index (``_FAILS_AT_2``), the
+      disjunct of branches 2 and 3, and the polynomials of branch 4.
+    - At an odd q, q | d gives branch 1 (q | b) or branch 3, where b1 = 0,
+      and q fails exactly when q^2 | d; otherwise q | e, and branch 5 fails
+      exactly when q^2 | e.
+    """
+    texts = []
+    rest = iter(primes)
+    for q in rest:
+        tail = ""
+        if q == 2:
+            cls = b % 4, d % 4
+            fails = cls in _FAILS_AT_2
+            if b % 2 == 0 and d % 2 == 0:
+                branch = 1
+            elif b % 2 == 0:
+                branch = 2
+                disjunct = _BRANCH_2_DISJUNCT.get(cls, "")
+                tail = f',"intermediates":{{"b2":{b // 2},"d1":{(d + d**4) // 2},"s":4{disjunct}}}'
+            elif d % 2 == 0:
+                branch = 3
+                disjunct = "" if fails else ',"disjunct":1'
+                tail = f',"intermediates":{{"b1":{(b + b * b) // 2},"d2":{d // 2},"s":2{disjunct}}}'
+            else:
+                branch = 4
+                tail = _BRANCH_4_POLYS[cls]
+        elif d % q == 0:
+            fails = d % (q * q) == 0
+            branch = 1 if b % q == 0 else 3
+            if branch == 3:
+                disjunct = "" if fails else ',"disjunct":1'
+                tail = f',"intermediates":{{"b1":0,"d2":{d // q},"s":1{disjunct}}}'
+        else:
+            fails = e % (q * q) == 0
+            branch = 5
+        flag = "true" if fails else "false"
+        texts.append(f'{{"prime":{q},"evaluated":true,"divides_index":{flag},"branch":{branch}{tail}}}')
+        if fails:
+            texts.extend(
+                f'{{"prime":{p},"evaluated":false,"divides_index":false,"branch":null}}' for p in rest
+            )
+            return texts, False
+    return texts, True
 
 
 def prime_index_test(t: Trinomial, q: int) -> PrimeVerdict:

@@ -35,11 +35,11 @@ that does not decide (an unfiltered JSON walk, or the C4 walk of
 ``verify_theorem``, which keeps the five-branch engine) carries the
 factorization in every record, or None where e = 0 and disc = 0.  CSV
 writes every row from its record, and ``monogenic_only`` keeps only the
-monogenic records.  A JSON line is written from its record and the
-verdicts the engine yields for it.  Each verdict renders its text once and
-keeps it, so a shared verdict is rendered once for every cell and stream.
-Only ``iter_box`` builds a report, from the factorization its record
-carries.
+monogenic records.  A JSON line is written from its record alone: each
+verdict's text comes from (b, d, e) and the primes of the factorization by
+the closed form of the index criterion (``index_criterion._verdict_texts``),
+so a search builds no verdict.  Only ``iter_box`` builds a report, from the
+factorization its record carries, and runs the five-branch engine for it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from math import isqrt
 from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
-from .index_criterion import PrimeVerdict, _least_index_prime, _verdict
+from .index_criterion import PrimeVerdict, _least_index_prime, _verdict, _verdict_texts
 from .dedekind import _divides_index
 from .intarith import (
     _TRIAL_LIMIT,
@@ -66,7 +66,7 @@ from .intarith import (
     _sieve_progression,
     primes_upto,
 )
-from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, _verdicts, is_monogenic
+from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is_monogenic
 from ._scan_py import scan_c4
 from .scan import _check_box
 from .trinomial import (
@@ -95,7 +95,7 @@ __all__ = [
 CSV_HEADER = "b,d,irreducible,c4,disc,monogenic,r1,r2,failing_prime"
 
 # the compact encoding every JSON line has; it writes the error records,
-# while _json_cell writes the others directly, with the same bytes
+# while _json_cell writes the cells' lines directly, with the same bytes
 _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -333,27 +333,14 @@ def _bool_str(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _json_cell(
-    b: int,
-    d: int,
-    e: int,
-    fact: Factorization | None,
-    verdicts: Iterable[PrimeVerdict],
-) -> str:
+def _json_cell(b: int, d: int, e: int, fact: Factorization | None) -> str:
     """The one writer of a cell's JSON line: the bytes of ``_JSON.encode(report.to_dict())``.
 
-    The report is that of the cell (b, d), with e = b^2 - 4d, ``fact`` the
-    factorization of its discriminant (None where it is 0) and ``verdicts``
-    the cell's verdicts, each of which renders its own text.  These are
-    empty exactly when the cell is reducible, as 2 divides every
-    discriminant.
+    The report is that of the cell (b, d), with e = b^2 - 4d and ``fact``
+    the factorization of its discriminant (None where it is 0).  Its
+    verdicts are written by ``_verdict_texts`` from the cell and the primes
+    of ``fact``, with no verdict built.
     """
-    texts = []
-    monogenic = True
-    for v in verdicts:
-        texts.append(v._json)
-        if v.divides_index:
-            monogenic = False
     disc = 16 * d * e * e
     fact_text = (
         "null"
@@ -361,11 +348,12 @@ def _json_cell(
         else f'{{"sign":{fact.sign},"factors":[' + ",".join(f"[{p},{k}]" for p, k in fact.factors) + "]}"
     )
     head = f'{{"trinomial":{{"b":{b},"d":{d}}},'
-    if not texts:
+    if not _irreducible(b, d, e):
         return (
             f'{head}"irreducible":false,"c4":false,"disc":{disc},"disc_factored":{fact_text},'
             '"verdicts":[],"monogenic":false,"field_disc":null,"signature":null}'
         )
+    texts, monogenic = _verdict_texts(b, d, e, fact.primes())
     sig = _signature(b, d, e)
     return (
         f'{head}"irreducible":true,"c4":{_bool_str(_c4(d, e))},"disc":{disc},'
@@ -381,7 +369,7 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
         if isinstance(item, SearchError):
             return _JSON.encode(item.to_dict())
         b, d = item.trinomial.b, item.trinomial.d
-        return _json_cell(b, d, b * b - 4 * d, item.disc_factored, item.verdicts)
+        return _json_cell(b, d, b * b - 4 * d, item.disc_factored)
     if fmt != "csv":
         raise ValueError(f"unknown format {fmt!r}; expected 'json' or 'csv'")
     if isinstance(item, SearchError):
@@ -394,9 +382,8 @@ def format_item(item: MonogenicityReport | SearchError, fmt: str) -> str | None:
 def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> Iterator[str]:
     """One line per item; each item the format cannot carry goes to ``on_skip``.
 
-    A JSON line is written from its record and the verdicts the engine
-    yields for it, with no report built; each verdict renders its text once
-    and keeps it, so a shared one serves every cell and stream.
+    A JSON line is written from its record alone, with no report or
+    verdict built.
     """
     for item in items:
         if isinstance(item, SearchError):
@@ -407,9 +394,7 @@ def _lines(items: Iterator[_Item], fmt: str, on_skip: Callable[[str], None]) -> 
         elif fmt == "csv":
             yield _settled_csv(*item)
         else:
-            b, d, e, fact = item
-            verdicts = _verdicts(Trinomial(b, d), fact.primes()) if _irreducible(b, d, e) else ()
-            yield _json_cell(b, d, e, fact, verdicts)
+            yield _json_cell(*item)
 
 
 # cells (or C4 candidates) per parallel chunk: the unit a pool worker

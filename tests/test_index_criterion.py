@@ -11,10 +11,12 @@ from c4quartic.index_criterion import (
     _least_index_prime,
     _plain,
     _verdict,
+    _verdict_texts,
     prime_index_test,
 )
 from c4quartic.intarith import factor, primes_upto, valuation
-from c4quartic.monogenic import is_monogenic
+from c4quartic.monogenic import _verdicts, factor_discriminant, is_monogenic
+from c4quartic.search import _JSON
 from c4quartic.trinomial import Trinomial, discriminant, is_irreducible
 from oracles import (
     FAILING_CLASSES_MOD_4,
@@ -186,6 +188,44 @@ class TestResidueClasses:
                     assert b1 * d2 * (d2 - b * b1) % q == 0, (b, d, q)
                 checked += 1
         assert checked > 0
+
+
+class TestVerdictTexts:
+    # the JSON writer's text at q depends on (b, d) mod q^2 and, in branches
+    # 2 and 3, on b/2, (d + d^4)/2 or d/q; one irreducible lift per class
+    # checks each of its arms against the engine's verdict, encoded
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_every_class_mod_q_squared(self, q):
+        qq = q * q
+        shapes = set()
+        skipped = 0
+        for b0 in range(qq):
+            for d0 in range(qq):
+                t = irreducible_lift(b0, d0, qq)
+                if discriminant(t) % q:
+                    continue
+                b, d = t.b, t.d
+                e = b * b - 4 * d
+                v = _verdict(t, q)
+                texts, monogenic = _verdict_texts(b, d, e, [q])
+                assert texts == [_JSON.encode(v.to_dict())], (b, d, q)
+                assert monogenic == (not v.divides_index), (b, d, q)
+                # the primes after a failing q get placeholders, as in the engine
+                primes = factor_discriminant(t).primes()
+                later = [p for p in primes if p > q]
+                texts, _ = _verdict_texts(b, d, e, [q, *later])
+                if v.divides_index:
+                    want = [_JSON.encode(PrimeVerdict.skipped(p).to_dict()) for p in later]
+                    assert texts[1:] == want, (b, d, q)
+                    skipped += len(later)
+                texts, monogenic = _verdict_texts(b, d, e, primes)
+                engine = list(_verdicts(t, primes))
+                assert texts == [_JSON.encode(w.to_dict()) for w in engine], (b, d, q)
+                assert monogenic == (not any(w.divides_index for w in engine)), (b, d, q)
+                shapes.add((v.branch, v.divides_index))
+        branches = (1, 2, 3, 4) if q == 2 else (1, 3, 5)
+        assert shapes == {(k, x) for k in branches for x in (False, True)}
+        assert skipped > 0
 
 
 def lift_free_at_2(b, d, m):

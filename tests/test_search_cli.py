@@ -12,6 +12,7 @@ import c4quartic
 from c4quartic import index_criterion, intarith, search
 from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples, scan_c4
 from c4quartic.cli import main
+from c4quartic.index_criterion import _verdict_texts
 from c4quartic.intarith import FactorizationIncomplete
 from c4quartic.monogenic import DegenerateTrinomialError, MonogenicityReport, is_monogenic
 from c4quartic.search import (
@@ -130,25 +131,35 @@ class TestFormatting:
 
     @pytest.mark.parametrize("cache_cap", [index_criterion._plain.cache_info().maxsize, 3])
     def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool, cache_cap):
-        # format_item shares the streams' writer, so the reference is the
-        # json module on the reference reports; a cap of 3 on the caches of
-        # shared verdicts evicts them over and over, so their texts are
-        # rendered anew on fresh objects
+        # the reference is the json module on the reference reports, which
+        # the engine builds before the count starts; a cap of 3 on the
+        # caches of shared verdicts evicts them over and over while it does.
+        # The streams write every verdict from the closed form, so they
+        # never reach the engine or its caches
         for name in ("_plain", "_branch_3_odd"):
             cached = getattr(index_criterion, name)
             size = min(cache_cap, cached.cache_info().maxsize)
             monkeypatch.setattr(index_criterion, name, functools.lru_cache(maxsize=size)(cached.__wrapped__))
-        built = count_calls(monkeypatch, search, "_report")
         items = reference_items(SHAPES_BOX)
         verdicts = {v for r in items if isinstance(r, MonogenicityReport) for v in r.verdicts}
         assert len(verdicts) > 3
-        for monogenic_only in (False, True):
-            want = [_JSON.encode(r.to_dict()) for r in items if kept(r, monogenic_only)]
+        wants = {
+            monogenic_only: [_JSON.encode(r.to_dict()) for r in items if kept(r, monogenic_only)]
+            for monogenic_only in (False, True)
+        }
+        built = count_calls(monkeypatch, search, "_report")
+        # every binding of the engine's dispatch
+        dispatched = count_calls(monkeypatch, index_criterion, "_verdict")
+        for name in ("c4quartic.monogenic._verdict", "c4quartic.search._verdict"):
+            monkeypatch.setattr(name, index_criterion._verdict)
+        for monogenic_only, want in wants.items():
             for workers in (1, 2):
                 got = list(search_lines(*SHAPES_BOX, monogenic_only=monogenic_only, workers=workers))
                 assert got == want, (monogenic_only, workers)
-        # the streams build no report, filtered or not, on any worker count
+        # the streams build no report and no verdict, filtered or not, on
+        # any worker count
         assert built == []
+        assert dispatched == []
         assert len(serial_pool) == 2
         assert index_criterion._plain.cache_info().currsize <= cache_cap
 
@@ -194,43 +205,51 @@ class TestFormatting:
             format_item(is_monogenic(Trinomial(5, 5)), "xml")
 
 
-def shape_verdicts():
-    """The distinct verdict objects of SHAPES_BOX, which hold every verdict shape."""
-    verdicts = {}
-    for item in iter_box(*SHAPES_BOX):
-        if isinstance(item, MonogenicityReport):
-            for v in item.verdicts:
-                verdicts[id(v)] = v
-    verdicts = list(verdicts.values())
+def shape_reports():
+    """The irreducible reports of SHAPES_BOX, whose verdicts hold every verdict shape."""
+    reports = [r for r in iter_box(*SHAPES_BOX) if isinstance(r, MonogenicityReport) and r.irreducible]
+    verdicts = [v for r in reports for v in r.verdicts]
     shapes = {(v.branch, v.divides_index) for v in verdicts}
     assert shapes >= {(k, x) for k in (1, 2, 3, 4, 5) for x in (False, True)}
     assert (None, False) in shapes
     disjuncts = {(v.branch, v.intermediates.disjunct) for v in verdicts if v.branch in (2, 3)}
     assert disjuncts == {(2, 1), (2, 2), (2, None), (3, 1), (3, None)}
-    return verdicts
+    return reports
 
 
 class TestVerdictText:
     def test_every_verdict_renders_the_encoders_bytes_once(self):
-        for v in shape_verdicts():
-            text = v._json
-            assert text == _JSON.encode(v.to_dict()), v
-            assert "_json" in vars(v)
-            assert v._json is text
+        # the one writer of verdict text, from the cell alone, against the
+        # encoder on each of the engine's verdicts for it
+        for r in shape_reports():
+            b, d = r.trinomial.b, r.trinomial.d
+            texts, monogenic = _verdict_texts(b, d, b * b - 4 * d, r.disc_factored.primes())
+            assert texts == [_JSON.encode(v.to_dict()) for v in r.verdicts], r.trinomial
+            assert monogenic == r.monogenic, r.trinomial
 
-    def test_the_text_is_not_part_of_the_value(self):
-        for v in shape_verdicts():
-            copy = dataclasses.replace(v)
-            assert "_json" not in vars(copy)
-            v._json
-            assert "_json" not in {f.name for f in dataclasses.fields(v)}
-            assert v == copy and hash(v) == hash(copy)
-            assert repr(v) == repr(copy)
-            assert v.to_dict() == copy.to_dict()
+    def test_the_text_is_not_part_of_the_value(self, serial_pool):
+        # writing lines, of a report or of a stream, leaves the engine's
+        # verdicts as they were
+        reports = shape_reports()
+        before = [
+            (v, dict(vars(v)), hash(v), repr(v), v.to_dict(), dataclasses.replace(v))
+            for r in reports
+            for v in r.verdicts
+        ]
+        for r in reports:
+            format_item(r, "json")
+        for workers in (1, 2):
+            list(search_lines(*SHAPES_BOX, workers=workers))
+        for v, fields, h, text, form, copy in before:
+            assert vars(v) == fields, v
+            assert v == copy and hash(v) == h == hash(copy), v
+            assert repr(v) == text == repr(copy)
+            assert v.to_dict() == form == copy.to_dict()
 
     def test_texts_kept_across_streams_match_a_fresh_process(self, serial_pool):
-        # the texts outlive the stream that rendered them, so later streams,
-        # serial or parallel, print them as a process that renders anew does
+        # streams run one after another in one process, serial or parallel,
+        # print what a fresh process prints: no state they leave behind
+        # changes a later line
         argv = [f"--{k}={x}" for k, x in zip(("b-min", "b-max", "d-min", "d-max"), SHAPES_BOX)]
         fresh = subprocess.run(
             [sys.executable, "-m", "c4quartic", "search", *argv, "--format", "json"],
