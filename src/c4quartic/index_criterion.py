@@ -26,23 +26,13 @@ Verdicts carry their branch, intermediates, and (for branch 4) the two GF(2)
 polynomials and their gcd as coefficient tuples, lowest degree first, so a
 caller can show its work.
 
-Verdicts are frozen, so equal ones may be one object, and most are: a
-verdict of branch 1 or 5 is fixed by (q, divides_index, branch), one of
-branch 3 at an odd q by (q, d), since b1 = 0 there, one of branch 4 by
-(b, d) mod 4, and a placeholder by its prime.  Each of these comes from a
-bounded cache, so a run over many cells, where they repeat from cell to
-cell, builds few of them.  Only branches 2 and 3 at q = 2, whose
-intermediates hold b/2, (d + d^4)/2 or d/2, are built per cell.  These
-caches serve the callers that build verdicts: ``iter_box`` reports,
-``verify_theorem`` and ``oracle_check``.  A JSON search line builds none:
-``_verdict_texts`` writes each verdict's text straight from (b, d, e) by
-the closed form of ``_least_index_prime``, and this engine is its
-independent oracle.
+A JSON search line builds no verdict: ``_verdict_texts`` writes each
+verdict's text straight from (b, d, e) by the closed form of
+``_least_index_prime``, and this engine is its independent oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -96,10 +86,8 @@ class PrimeVerdict:
     h_gcd: Coeffs | None = None
 
     @classmethod
-    @functools.lru_cache(maxsize=1024)
     def skipped(cls, prime: int) -> "PrimeVerdict":
-        # frozen, so one placeholder per prime is shared by every report,
-        # from a bounded cache
+        """The placeholder for a prime left untested after an earlier one divided the index."""
         return cls(prime=prime, evaluated=False, divides_index=False, branch=None)
 
     def to_dict(self) -> dict:
@@ -113,14 +101,8 @@ def _exact_div(num: int, q: int) -> int:
     return quo
 
 
-@functools.lru_cache(maxsize=4096)
-def _plain(q: int, divides: bool, branch: int) -> PrimeVerdict:
-    # a verdict of branch 1 or 5, which carries nothing but these three
-    return PrimeVerdict(q, True, divides, branch)
-
-
 def _branch_1(t: Trinomial, q: int) -> PrimeVerdict:
-    return _plain(q, t.d % (q * q) == 0, 1)
+    return PrimeVerdict(q, True, t.d % (q * q) == 0, 1)
 
 
 def _branch_2(t: Trinomial) -> PrimeVerdict:
@@ -137,10 +119,10 @@ def _branch_2(t: Trinomial) -> PrimeVerdict:
     return PrimeVerdict(2, True, disjunct is None, 2, inter)
 
 
-def _branch_3(b: int, d: int, q: int) -> PrimeVerdict:
+def _branch_3(t: Trinomial, q: int) -> PrimeVerdict:
     s = 2 if q == 2 else 1
-    b1 = _exact_div(b + (-b) ** s, q)
-    d2 = _exact_div(d, q)
+    b1 = _exact_div(t.b + (-t.b) ** s, q)
+    d2 = _exact_div(t.d, q)
     # no second disjunct: b1*d2*(d2 - b*b1) is never a unit mod q, since
     # b1 = 0 at odd q and odd b1, d2 make d2 - b*b1 even at q = 2
     disjunct = 1 if b1 % q == 0 and d2 % q != 0 else None
@@ -148,20 +130,8 @@ def _branch_3(b: int, d: int, q: int) -> PrimeVerdict:
     return PrimeVerdict(q, True, disjunct is None, 3, inter)
 
 
-# a (q, d) verdict recurs only down one d-column of a box, so this cache
-# holds about one row's worth (one entry per odd prime of each d); a larger
-# one would fill with verdicts that random cells, as oracle_check draws
-# them, never ask for again
-@functools.lru_cache(maxsize=256)
-def _branch_3_odd(q: int, d: int) -> PrimeVerdict:
-    # at an odd q, b1 = (b - b)/q = 0 whatever b is: one verdict per (q, d)
-    return _branch_3(0, d, q)
-
-
-@functools.cache
-def _branch_4_mod4(b: int, d: int) -> PrimeVerdict:
-    # h1 and h2 reduced mod 2 depend only on (b, d) mod 4, so the odd
-    # residues give at most four verdicts; they are frozen, hence shareable
+def _branch_4(b: int, d: int) -> PrimeVerdict:
+    # called with (b, d) mod 4: h1 and h2 reduced mod 2 depend on nothing more
     h1 = _trim(2, (d, b, 1))
     h2 = _trim(2, (_exact_div(d * (1 + d), 2), b * d, _exact_div(b * (1 + b), 2)))
     g = _gcd(2, h1, h2)
@@ -170,7 +140,7 @@ def _branch_4_mod4(b: int, d: int) -> PrimeVerdict:
 
 def _branch_5(t: Trinomial, q: int) -> PrimeVerdict:
     e = t.b * t.b - 4 * t.d
-    return _plain(q, e % (q * q) == 0, 5)
+    return PrimeVerdict(q, True, e % (q * q) == 0, 5)
 
 
 def _verdict(t: Trinomial, q: int) -> PrimeVerdict:
@@ -183,9 +153,9 @@ def _verdict(t: Trinomial, q: int) -> PrimeVerdict:
             raise ArithmeticError(f"{t} at odd {q} reached branch 2; dispatch is broken")
         return _branch_2(t)
     if d_div:
-        return _branch_3(t.b, t.d, 2) if q == 2 else _branch_3_odd(q, t.d)
+        return _branch_3(t, q)
     if q == 2:
-        return _branch_4_mod4(t.b % 4, t.d % 4)
+        return _branch_4(t.b % 4, t.d % 4)
     return _branch_5(t, q)
 
 

@@ -39,7 +39,9 @@ monogenic records.  A JSON line is written from its record alone: each
 verdict's text comes from (b, d, e) and the primes of the factorization by
 the closed form of the index criterion (``index_criterion._verdict_texts``),
 so a search builds no verdict.  Only ``iter_box`` builds a report, from the
-factorization its record carries, and runs the five-branch engine for it.
+factorization its record carries, and runs the five-branch engine for it;
+``verify_theorem`` runs the engine on every record, and builds the reports
+of the candidates it keeps.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .intarith import (
     _sieve_progression,
     primes_upto,
 )
-from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, is_monogenic
+from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, _verdicts, is_monogenic
 from ._scan_py import scan_c4
 from .scan import _check_box
 from .trinomial import (
@@ -555,19 +557,27 @@ def verify_theorem(b_bound: int, d_bound: int) -> TheoremVerification:
     invariants split them into three provably distinct fields.  Bounds must
     be at least 5 so the box can contain all three witnesses.
 
-    The candidates are those of ``iter_box(-b_bound, b_bound, 1, d_bound,
-    c4_only=True)``, each classified by the five-branch engine at every
-    prime, so the check does not rest on the closed form the deciding
-    searches use.  A cell the factorizer gives up on raises its
-    ``FactorizationIncomplete``.
+    The candidates are the C4 cells of the box, walked and factored as a
+    ``c4_only`` search does, but not decided: the five-branch engine runs
+    at each prime of a candidate until one divides the index, so the check
+    does not rest on the closed form the deciding searches use.  Only the
+    candidates it keeps get a report.  A cell the factorizer gives up on
+    raises its ``FactorizationIncomplete``.
     """
     if b_bound < 5 or d_bound < 5:
         raise ValueError("bounds below 5 cannot contain the three known witnesses")
     reports = []
-    for item in iter_box(-b_bound, b_bound, 1, d_bound, c4_only=True):
-        # the per-cell route gives up on an error record's cell as the walk
-        # did, and raises the factorizer's own FactorizationIncomplete
-        r = is_monogenic(item.trinomial) if isinstance(item, SearchError) else item
+    for item in _items(-b_bound, b_bound, 1, d_bound, True, None, {}, False, _FACTORED):
+        if isinstance(item, SearchError):
+            # the per-cell route gives up on the cell as the walk did, and
+            # raises the factorizer's own FactorizationIncomplete
+            r = is_monogenic(item.trinomial)
+        else:
+            b, d, _, fact = item
+            t = Trinomial(b, d)
+            if any(v.divides_index for v in _verdicts(t, fact.primes())):
+                continue
+            r = _report(t, fact)
         if r.monogenic:
             reports.append(r)
     found = tuple(r.trinomial for r in reports)

@@ -6,10 +6,7 @@ from c4quartic.index_criterion import (
     _FAILS_AT_2,
     BranchIntermediates,
     PrimeVerdict,
-    _branch_3_odd,
-    _branch_4_mod4,
     _least_index_prime,
-    _plain,
     _verdict,
     _verdict_texts,
     prime_index_test,
@@ -76,7 +73,7 @@ class TestBranchSelection:
         assert v.h_gcd == (1,)
 
     def test_branch_4_cached_by_residue(self):
-        # the verdict is shared per (b mod 4, d mod 4); it must equal the one
+        # the verdict is built from (b mod 4, d mod 4); it must equal the one
         # built from the full coefficients
         for b in range(-41, 42, 2):
             for d in range(-41, 42, 2):
@@ -85,7 +82,6 @@ class TestBranchSelection:
                 g = nmod_gcd(2, h1, h2)
                 expected = PrimeVerdict(2, True, len(g) > 1, 4, h1=h1, h2=h2, h_gcd=g)
                 assert _verdict(Trinomial(b, d), 2) == expected, (b, d)
-        assert _branch_4_mod4.cache_info().currsize <= 4
 
     def test_branch_5(self):
         v = prime_index_test(Trinomial(1, -1), 5)
@@ -367,13 +363,11 @@ def docstring_verdict(b, d, q):
     return PrimeVerdict(q, True, e % (q * q) == 0, 5)
 
 
-class TestSharedVerdicts:
+class TestDocstringVerdicts:
     def test_every_cell_of_a_box(self):
-        # the verdicts of branches 1, 5 and odd 3 are one object per key:
-        # (q, divides_index, branch), or (q, d) for branch 3 at an odd q
-        shared = {}
+        # every branch's verdict is the module docstring's, and a second
+        # call on the same cell and prime gives an equal one
         branches = set()
-        repeats = 0
         for b in range(-30, 31):
             for d in range(-30, 31):
                 t = Trinomial(b, d)
@@ -382,35 +376,10 @@ class TestSharedVerdicts:
                 for q in disc_primes(t, cap=13):
                     v = _verdict(t, q)
                     assert v == docstring_verdict(b, d, q), (b, d, q)
+                    assert _verdict(t, q) == v, (b, d, q)
                     branches.add((v.branch, q == 2))
-                    if v.branch == 3 and q > 2:
-                        key = (q, d)
-                    elif v.branch in (1, 5):
-                        key = (q, v.divides_index, v.branch)
-                    elif v.branch == 4:
-                        # a cache of its own four verdicts
-                        assert _verdict(t, q) is v, (b, d, q)
-                        continue
-                    else:
-                        # branches 2 and 3 at 2 are built per cell
-                        again = _verdict(t, q)
-                        assert again == v and again is not v, (b, d, q)
-                        continue
-                    assert _verdict(t, q) is v, (b, d, q)
-                    repeats += key in shared
-                    assert shared.setdefault(key, v) is v, (b, d, q)
         # every branch, and branches 1 and 3 both at 2 and at an odd q
         assert branches == {(1, True), (1, False), (2, True), (3, True), (3, False), (4, True), (5, False)}
-        assert repeats > len(shared)
-
-    def test_placeholders_are_shared(self):
-        for q in (2, 7):
-            assert PrimeVerdict.skipped(q) is PrimeVerdict.skipped(q)
-
-    def test_caches_are_bounded(self):
-        for cached in (_plain, _branch_3_odd, PrimeVerdict.skipped):
-            assert cached.cache_info().maxsize is not None
-            assert cached.cache_info().maxsize <= 4096
 
 
 # the JSON key order of every verdict; the optional parts follow it
@@ -418,12 +387,6 @@ VERDICT_KEYS = ["prime", "evaluated", "divides_index", "branch"]
 
 
 class TestVerdictType:
-    def test_skipped_is_shared_per_prime(self):
-        assert PrimeVerdict.skipped(7) is PrimeVerdict.skipped(7)
-        assert PrimeVerdict.skipped(7) == PrimeVerdict(7, False, False, None)
-        assert PrimeVerdict.skipped(7) != PrimeVerdict.skipped(11)
-        assert PrimeVerdict.skipped.cache_info().maxsize == 1024
-
     def test_skipped(self):
         v = PrimeVerdict.skipped(7)
         assert v.prime == 7

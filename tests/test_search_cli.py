@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ import c4quartic
 from c4quartic import index_criterion, intarith, search
 from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples, scan_c4
 from c4quartic.cli import main
-from c4quartic.index_criterion import _verdict_texts
+from c4quartic.index_criterion import PrimeVerdict, _verdict_texts
 from c4quartic.intarith import FactorizationIncomplete
 from c4quartic.monogenic import DegenerateTrinomialError, MonogenicityReport, is_monogenic
 from c4quartic.search import (
@@ -129,17 +128,15 @@ class TestFormatting:
         assert seen >= {(2, "disjunct", k) for k in (1, 2, None)}
         assert seen >= {(3, "disjunct", k) for k in (1, None)}
 
-    @pytest.mark.parametrize("cache_cap", [index_criterion._plain.cache_info().maxsize, 3])
-    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool, cache_cap):
+    @pytest.mark.parametrize("chunk", [4096, 3])
+    def test_json_streams_match_the_reference_encoder(self, monkeypatch, serial_pool, chunk):
         # the reference is the json module on the reference reports, which
-        # the engine builds before the count starts; a cap of 3 on the
-        # caches of shared verdicts evicts them over and over while it does.
-        # The streams write every verdict from the closed form, so they
-        # never reach the engine or its caches
-        for name in ("_plain", "_branch_3_odd"):
-            cached = getattr(index_criterion, name)
-            size = min(cache_cap, cached.cache_info().maxsize)
-            monkeypatch.setattr(index_criterion, name, functools.lru_cache(maxsize=size)(cached.__wrapped__))
+        # the engine builds before the count starts.  A chunk of 4096 cells
+        # gives the 2-worker stream two chunks; one of 3 sends every row of
+        # the box through the window as a chunk of its own.  The streams
+        # write every verdict from the closed form, so they never reach the
+        # engine
+        monkeypatch.setattr(search, "_CHUNK", chunk)
         items = reference_items(SHAPES_BOX)
         verdicts = {v for r in items if isinstance(r, MonogenicityReport) for v in r.verdicts}
         assert len(verdicts) > 3
@@ -160,8 +157,8 @@ class TestFormatting:
         # any worker count
         assert built == []
         assert dispatched == []
-        assert len(serial_pool) == 2
-        assert index_criterion._plain.cache_info().currsize <= cache_cap
+        # two chunks a stream, or one for each of the box's 61 rows
+        assert [len(pool.submitted) for pool in serial_pool] == [{4096: 2, 3: 61}[chunk]] * 2
 
     @given(
         st.integers(min_value=-10**12, max_value=10**12),
@@ -509,6 +506,24 @@ class TestVerifyTheorem:
         assert res.passed
         reports = [_cell_report(b, d) for b, d in scan_c4(-b_bound, b_bound, 1, d_bound)]
         assert res.found == tuple(r.trinomial for r in reports if r.monogenic)
+
+    @pytest.mark.parametrize("b_bound, d_bound", [(5, 5), (30, 400), (300, 30000)])
+    def test_reports_only_the_monogenic_candidates(self, monkeypatch, b_bound, d_bound):
+        # the engine stops at a candidate's first prime dividing the index,
+        # so it builds no placeholder, and only a kept candidate gets a report
+        reports = count_calls(monkeypatch, search, "_report")
+        placeholders = []
+        skipped = PrimeVerdict.skipped
+
+        def counting_skipped(cls, prime):
+            placeholders.append(prime)
+            return skipped(prime)
+
+        monkeypatch.setattr(PrimeVerdict, "skipped", classmethod(counting_skipped))
+        res = verify_theorem(b_bound, d_bound)
+        assert res.passed
+        assert len(reports) == len(res.found) == 3
+        assert placeholders == []
 
 
 class TestOracleCheck:
