@@ -17,17 +17,20 @@ module lifts each P_m with coefficients in [0, q), so g*h is the integer
 product of the lifted P_m^m.  Agreement between the two routes on random and
 exhaustive samples is what certifies the branch engine.
 
-Given these lifts, the verdict depends only on (b, d) mod q^2.  The P_m
-come from f mod q, and so do their lifts, g*h included.  Replacing (b, d)
-by (b + i*q^2, d + j*q^2) adds q^2*(i*x^2 + j) to f and leaves g*h as it
-is, so F changes by q*(i*x^2 + j), which is 0 mod q.  Both F mod q and
-the P_m are therefore fixed by the class, and with them the gcd.
-``oracle_check`` relies on this to compute the verdict once per class.
+Given these lifts, the route has two steps at two classes.  The P_m come
+from f mod q, and so do their lifts, g*h included: ``_lift`` depends only
+on (b, d) mod q.  The verdict depends only on (b, d) mod q^2.  Replacing
+(b, d) by (b + i*q^2, d + j*q^2) adds q^2*(i*x^2 + j) to f and leaves g*h
+as it is, so F changes by q*(i*x^2 + j), which is 0 mod q.  Both F mod q
+and the P_m are therefore fixed by the class, and with them the gcd.
+``oracle_check`` relies on this to run ``_lift`` once per class mod q and
+``_divides_index`` once per class mod q^2.  A lift from another class
+mod q does not reduce to f mod q, and ``_divides_index`` raises on it.
 """
 
 from __future__ import annotations
 
-from .gfq import _shares_factor, _squarefree
+from .gfq import Coeffs, _gcd, _mul, _squarefree, _trim
 from .intarith import is_prime
 from .trinomial import Trinomial, is_irreducible
 
@@ -52,26 +55,32 @@ def dedekind_divides_index(t: Trinomial, q: int) -> bool:
         raise ValueError(f"{q} is not prime")
     if not is_irreducible(t):
         raise ValueError(f"{t} is reducible; the index test needs a quartic field")
-    return _divides_index(t, q)
+    return _divides_index(t, q, _lift(q, t.b, t.d))
 
 
-def _divides_index(t: Trinomial, q: int) -> bool:
-    # unchecked core of dedekind_divides_index: q prime, t irreducible
-    f = t.coefficients()
-    # f is monic, so its reduction is already trimmed
-    parts = _squarefree(q, tuple(c % q for c in f))
-
+def _lift(q: int, b: int, d: int) -> tuple[tuple[int, ...], Coeffs]:
+    # unchecked first step, a function of (b mod q, d mod q): the integer
+    # product g*h of the lifted P_m^m and R = prod_{m >= 2} P_m mod q
+    parts = _squarefree(q, (d % q, 0, b % q, 0, 1))
     lift = [1]
+    repeated: Coeffs = (1,)
     for p, m in parts:
         for _ in range(m):
             lift = _int_mul(lift, p)
-    if len(lift) != len(f):
+        if m >= 2:
+            repeated = _mul(q, repeated, p)
+    if len(lift) != 5:
         raise ArithmeticError("lift degree mismatch; f mod q must stay quartic")
+    return tuple(lift), repeated
 
+
+def _divides_index(t: Trinomial, q: int, lifted: tuple[tuple[int, ...], Coeffs]) -> bool:
+    # unchecked second step: q prime, t irreducible, lifted = _lift(q, t.b, t.d)
+    lift, repeated = lifted
     defect = []
-    for fc, gc in zip(f, lift):
+    for fc, gc in zip(t.coefficients(), lift):
         quo, rem = divmod(fc - gc, q)
         if rem:
             raise ArithmeticError("lift does not reduce to f mod q")
         defect.append(quo)
-    return _shares_factor(q, defect, parts)
+    return len(_gcd(q, _trim(q, defect), repeated)) > 1

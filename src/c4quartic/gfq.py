@@ -5,9 +5,9 @@ reduced mod q and trimmed of leading zeros (the zero polynomial is the empty
 tuple, degree -1).  Every function here is private and checks nothing: the
 caller passes a prime q and tuples in that form (``_trim`` makes one from
 any integer sequence), and gets such tuples back.  The callers are the
-Dedekind route (``_squarefree``, ``_shares_factor``) and branch 4 of the
-index test (``_trim``, ``_gcd``, always at q = 2); they validate their own
-inputs, so there is no public API.
+Dedekind route (``_squarefree``, ``_mul``, ``_trim``, ``_gcd``) and branch 4
+of the index test (``_trim``, ``_gcd``, always at q = 2); they validate
+their own inputs, so there is no public API.
 """
 
 from __future__ import annotations
@@ -109,17 +109,3 @@ def _squarefree(q: int, a: Coeffs) -> list[tuple[Coeffs, int]]:
         out.extend(_squarefree(q, c))
         out.sort(key=lambda pm: pm[1])
     return out
-
-
-def _shares_factor(q: int, a, parts: list[tuple[Coeffs, int]]) -> bool:
-    """Whether a and prod_{m >= 2} P_m have a common factor of positive degree.
-
-    ``a`` is any integer coefficient sequence, reduced mod q here; ``parts``
-    is a squarefree decomposition as returned by :func:`_squarefree`.
-    """
-    repeated: Coeffs = (1,)
-    for p, m in parts:
-        if m >= 2:
-            repeated = _mul(q, repeated, p)
-    return len(_gcd(q, _trim(q, a), repeated)) > 1
-

@@ -58,7 +58,7 @@ from typing import Callable, Generator, Iterable, Iterator
 
 from .fields import distinct_fields
 from .index_criterion import PrimeVerdict, _least_index_prime, _verdict, _verdict_texts
-from .dedekind import _divides_index
+from .dedekind import _divides_index, _lift
 from .intarith import (
     _TRIAL_LIMIT,
     Factorization,
@@ -640,13 +640,14 @@ def oracle_check(
     trinomials are found, then runs both index tests at every prime
     q <= prime_cap dividing the discriminant; agreements count (t, q)
     pairs.  ``prime_cap`` lies between 2 and 10^7, so the sieve of the
-    primes up to it stays bounded.  The Dedekind verdict at q depends only
-    on (b, d) mod q^2 (see :mod:`.dedekind`), so each call computes it once
-    per such class and reuses it for every later pair in the class; the
-    engine still runs on every pair.  Sampling is seeded and fully
-    reproducible.  Rejection sampling gives up once attempts far exceed
-    ``samples``, so a box with few usable cells yields fewer samples rather
-    than a hang.
+    primes up to it stays bounded.  The Dedekind route at q lifts f mod q,
+    a function of (b, d) mod q, and its verdict depends only on (b, d)
+    mod q^2 (see :mod:`.dedekind`).  So each call lifts once per class
+    mod q and decides once per class mod q^2, and reuses both for every
+    later pair in the class; the engine still runs on every pair.
+    Sampling is seeded and fully reproducible.  Rejection sampling gives
+    up once attempts far exceed ``samples``, so a box with few usable
+    cells yields fewer samples rather than a hang.
     """
     if samples < 0:
         raise ValueError("samples must be nonnegative")
@@ -659,8 +660,9 @@ def oracle_check(
     small_primes = primes_upto(prime_cap)
     sampled = agreements = 0
     disagreements: list[Disagreement] = []
-    # Dedekind verdict per (q, b mod q^2, d mod q^2); local, so no call
-    # sees another's verdicts
+    # Dedekind lift per (q, b mod q, d mod q) and verdict per (q, b mod q^2,
+    # d mod q^2); local, so no call sees another's
+    lift_by_class: dict[tuple[int, int, int], tuple] = {}
     oracle_by_class: dict[tuple[int, int, int], bool] = {}
     max_attempts = max(1000, 200 * samples)
     for _ in range(max_attempts):
@@ -683,7 +685,11 @@ def oracle_check(
             key = (q, b % qq, d % qq)
             oracle = oracle_by_class.get(key)
             if oracle is None:
-                oracle = oracle_by_class[key] = _divides_index(t, q)
+                low = (q, b % q, d % q)
+                lifted = lift_by_class.get(low)
+                if lifted is None:
+                    lifted = lift_by_class[low] = _lift(q, b, d)
+                oracle = oracle_by_class[key] = _divides_index(t, q, lifted)
             if engine.divides_index == oracle:
                 agreements += 1
             else:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from c4quartic import dedekind, search
-from c4quartic.dedekind import _divides_index, dedekind_divides_index
+from c4quartic.dedekind import _divides_index, _lift, dedekind_divides_index
 from c4quartic.index_criterion import _verdict
 from c4quartic.intarith import primes_upto
 from c4quartic.monogenic import factor_discriminant
@@ -91,25 +91,34 @@ class TestAgainstOracles:
         # the (t, q) pairs of `oracle-check --samples 2000 --seed 1` with
         # bound 10^6, every prime q <= 97 dividing the discriminant.  The
         # engine still runs once per pair, so the pairs are recorded there;
-        # the Dedekind route runs once per class of (q, b mod q^2, d mod q^2)
+        # the Dedekind route lifts f mod q once per class of (q, b mod q,
+        # d mod q) and decides once per class of (q, b mod q^2, d mod q^2)
         pairs = []
+        lift_calls = []
         oracle_calls = []
 
         def recording_engine(t, q):
             pairs.append((t, q))
             return _verdict(t, q)
 
-        def counting_oracle(t, q):
+        def counting_lift(q, b, d):
+            lift_calls.append((q, b % q, d % q))
+            return _lift(q, b, d)
+
+        def counting_oracle(t, q, lifted):
             oracle_calls.append((q, t.b % (q * q), t.d % (q * q)))
-            return _divides_index(t, q)
+            return _divides_index(t, q, lifted)
 
         monkeypatch.setattr(search, "_verdict", recording_engine)
+        monkeypatch.setattr(search, "_lift", counting_lift)
         monkeypatch.setattr(search, "_divides_index", counting_oracle)
         bound = 10**6
         result = oracle_check(2000, 1, -bound, bound, -bound, bound)
         assert result.agreements == len(pairs) == 6758
         assert len(oracle_calls) == len(set(oracle_calls)) == 3010
         assert set(oracle_calls) == {(q, t.b % (q * q), t.d % (q * q)) for t, q in pairs}
+        assert len(lift_calls) == len(set(lift_calls)) == 974
+        assert set(lift_calls) == {(q, t.b % q, t.d % q) for t, q in pairs}
         split = [
             (t, q) for t, q in pairs if dedekind_bruteforce(t.b, t.d, q) != dedekind_divides_index(t, q)
         ]
@@ -124,13 +133,13 @@ class TestAgainstOracles:
         for b, d in candidates:
             t = Trinomial(b, d)
             for q in factor_discriminant(t).primes():
-                assert _verdict(t, q).divides_index == _divides_index(t, q), (b, d, q)
+                assert _verdict(t, q).divides_index == _divides_index(t, q, _lift(q, b, d)), (b, d, q)
                 pairs += 1
         assert (len(candidates), pairs) == (1194, 3790)
 
 
 class TestResidueClassReuse:
-    """``oracle_check`` computes the Dedekind verdict once per class mod q^2."""
+    """``oracle_check`` lifts f once per class mod q and decides once per class mod q^2."""
 
     @pytest.mark.parametrize("q", BRUTE_PRIMES)
     def test_verdict_is_constant_on_each_class(self, q):
@@ -146,25 +155,73 @@ class TestResidueClassReuse:
                 lifts = [Trinomial(b0 + i * qq, d0 + j * qq) for i, j in shifts]
                 lifts = [t for t in lifts if t.d != 0 and is_irreducible(t)]
                 assert len(lifts) >= 2, (q, b0, d0)
-                verdicts = {_divides_index(t, q) for t in lifts}
+                verdicts = {_divides_index(t, q, _lift(q, b0, d0)) for t in lifts}
                 assert len(verdicts) == 1, (q, b0, d0)
                 seen |= verdicts
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("q", primes_upto(13))
+    def test_lift_is_constant_on_each_class_mod_q(self, q):
+        # the first step of the lemma in the module docstring of
+        # dedekind.py: _lift reads only (b, d) mod q, one shift lies near
+        # 10^6, and the lift of the class decides every irreducible member
+        # as the factoring oracle does; the shift (1, q) puts q^2 into d
+        # when q | d, so both verdicts occur
+        shifts = [(0, 0), (1, 0), (0, 1), (-2, 3), (3, -1), (1, q), (10**6, 1 - 10**6)]
+        seen = set()
+        for b0 in range(q):
+            for d0 in range(q):
+                lifted = _lift(q, b0, d0)
+                members = [(b0 + i * q, d0 + j * q) for i, j in shifts]
+                assert {_lift(q, b, d) for b, d in members} == {lifted}, (q, b0, d0)
+                for b, d in members:
+                    t = Trinomial(b, d)
+                    if d != 0 and is_irreducible(t):
+                        got = _divides_index(t, q, lifted)
+                        assert got == dedekind_bruteforce(b, d, q), (q, b, d)
+                        seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("q", primes_upto(13))
+    def test_lift_of_another_class_raises(self, q):
+        # a lift keyed by the wrong class mod q does not reduce to f mod q
+        t = Trinomial(q + 1, 2 * q + 1)
+        for b1 in range(q):
+            for d1 in range(q):
+                if (b1, d1) == (1, 1):
+                    continue
+                with pytest.raises(ArithmeticError, match="does not reduce"):
+                    _divides_index(t, q, _lift(q, b1, d1))
+
+    def test_wrong_lift_key_fails_the_whole_check(self, monkeypatch):
+        # an oracle_check whose lift comes from the next class mod q raises
+        # instead of reporting agreements or disagreements
+        monkeypatch.setattr(search, "_lift", lambda q, b, d: _lift(q, b + 1, d))
+        bound = 10**6
+        with pytest.raises(ArithmeticError, match="does not reduce"):
+            oracle_check(300, 4, -bound, bound, -bound, bound)
+
     def test_nothing_survives_between_calls(self, monkeypatch):
+        lifts = []
         calls = []
 
-        def counting(t, q):
-            calls.append((t, q))
-            return _divides_index(t, q)
+        def counting_lift(q, b, d):
+            lifts.append((q, b, d))
+            return _lift(q, b, d)
 
+        def counting(t, q, lifted):
+            calls.append((t, q))
+            return _divides_index(t, q, lifted)
+
+        monkeypatch.setattr(search, "_lift", counting_lift)
         monkeypatch.setattr(search, "_divides_index", counting)
         bound = 10**6
         first = oracle_check(300, 4, -bound, bound, -bound, bound)
-        n_first = len(calls)
+        n_lifts, n_first = len(lifts), len(calls)
         second = oracle_check(300, 4, -bound, bound, -bound, bound)
         assert first == second
         assert 0 < n_first == len(calls) - n_first < first.agreements
+        assert 0 < n_lifts == len(lifts) - n_lifts < n_first
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_equals_a_verdict_per_pair(self, seed):

@@ -585,8 +585,8 @@ def flip_first_oracle_answer(monkeypatch):
     real = search._divides_index
     flipped = []
 
-    def patched(t, q):
-        ans = real(t, q)
+    def patched(t, q, lifted):
+        ans = real(t, q, lifted)
         if not flipped:
             flipped.append((t, q, not ans))
             return not ans
