@@ -7,7 +7,9 @@ is cut into small chunks of whole b-rows (of C4 candidates, with
 chunk is classified deterministically, so the output stream is
 byte-identical for any worker count.  At most two chunks per process are
 in flight, so memory stays bounded and a reader who stops early stops the
-pool within that window.
+pool within that window.  The pool's modules are imported only when a
+parallel search starts, so every command that runs in one process starts
+without them.
 
 Cells that cannot be classified (d = 0, or a discriminant the factorizer
 gave up on) become error records rather than aborting the run.  JSON output
@@ -50,7 +52,6 @@ import json
 import os
 import random
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
@@ -463,6 +464,13 @@ def _chunks(
     return chunks
 
 
+def ProcessPoolExecutor(max_workers: int):
+    # imported here, so that a command run in one process never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def search_lines(
     b_min: int,
     b_max: int,
@@ -502,11 +510,15 @@ def search_lines(
         chunks = _chunks(b_min, b_max, d_min, d_max, c4_only, workers)
         if not chunks:
             return
-        procs = min(workers, len(chunks), os.cpu_count() or 1)
+        # the CPUs this process may run on, which taskset or a pinned
+        # container can make fewer than the host has
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        procs = min(workers, len(chunks), cpus)
         todo = iter(chunks)
         pool = ProcessPoolExecutor(max_workers=procs)
 
-        def submit(chunk: tuple) -> Future:
+        def submit(chunk: tuple):
             b_lo, b_hi, cells = chunk
             args = (b_lo, b_hi, d_min, d_max, cells, monogenic_only, decide, fmt)
             return pool.submit(_lines_for_range, *args)

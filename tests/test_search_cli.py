@@ -304,6 +304,21 @@ class TestSearchLines:
         assert serial_pool and serial_pool[0].max_workers <= (os.cpu_count() or 1)
         assert wide == list(search_lines(0, 63, 1, 2, workers=1))
 
+    def test_pool_capped_at_the_cpus_this_process_may_run_on(self, monkeypatch, serial_pool):
+        # pinned to one CPU of a 64-CPU host, as under taskset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        wide = list(search_lines(0, 63, 1, 2, workers=64))
+        assert [pool.max_workers for pool in serial_pool] == [1]
+        assert wide == list(search_lines(0, 63, 1, 2, workers=1))
+
+    def test_pool_is_a_process_pool(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = search.ProcessPoolExecutor(max_workers=1)
+        pool.shutdown()
+        assert type(pool) is ProcessPoolExecutor
+
     # 20 rows of 8 cells in chunks of 16 cells: 10 chunks of 2 rows
     SMALL_CHUNKS = (0, 19, 1, 8)
 
@@ -683,6 +698,65 @@ class TestOracleCheckEdges:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == "error: prime_cap must be at most 10000000\n"
+
+
+# runs cli.main on each argv of the JSON list it is given, in one fresh
+# process, and prints a JSON list: the pool modules loaded once the package
+# is imported, then the exit code, the stdout and the pool modules loaded
+# after each command
+PROBE = """
+import contextlib, io, json, sys
+import c4quartic, c4quartic.cli
+
+def loaded():
+    return [m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules]
+
+runs = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        rc = c4quartic.cli.main(argv)
+    runs.append([rc, out.getvalue(), loaded()])
+print(json.dumps(runs))
+"""
+
+
+def probe(*argvs):
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+SMALL_SEARCH = ["search", "--b-min", "-8", "--b-max", "8", "--d-min", "-6", "--d-max", "6"]
+
+
+class TestStartup:
+    """Only a parallel search imports the process pool's modules; every
+    other command starts without them.  These tests count modules and time
+    nothing."""
+
+    def test_commands_in_one_process_never_import_the_pool(self):
+        commands = [
+            ["monogenic", "--b", "4", "--d", "2"],
+            ["verify-theorem", "--b-bound", "30", "--d-bound", "400"],
+            ["oracle-check", "--samples", "20", "--seed", "1", "--b-bound", "100", "--d-bound", "100"],
+            [*SMALL_SEARCH, "--workers", "1"],
+        ]
+        after_import, *runs = probe(*commands)
+        assert after_import == []
+        for argv, (rc, out, loaded) in zip(commands, runs):
+            assert rc == 0 and out, argv
+            assert loaded == [], argv
+
+    def test_a_parallel_search_imports_the_pool_and_prints_the_same_bytes(self):
+        _, serial, parallel = probe([*SMALL_SEARCH, "--workers", "1"], [*SMALL_SEARCH, "--workers", "2"])
+        assert serial[0] == parallel[0] == 0
+        assert serial[2] == [] and parallel[2] == ["concurrent.futures", "multiprocessing"]
+        assert parallel[1] == serial[1] != ""
 
 
 class TestCli:
