@@ -33,17 +33,21 @@ in the same way.  Such a cell never reaches the factorizer's Brent tail,
 and a give-up there cannot happen to it.  Every other cell is decided
 once the tail has factored the rest of e, and so is a monogenic cell
 whose factorization a filtered JSON stream or ``iter_box`` prints.  A walk
-that does not decide (an unfiltered JSON walk, or the C4 walk of
-``verify_theorem``, which keeps the five-branch engine) carries the
-factorization in every record, or None where e = 0 and disc = 0.  CSV
-writes every row from its record, and ``monogenic_only`` keeps only the
-monogenic records.  A JSON line is written from its record alone: each
-verdict's text comes from (b, d, e) and the primes of the factorization by
-the closed form of the index criterion (``index_criterion._verdict_texts``),
-so a search builds no verdict.  Only ``iter_box`` builds a report, from the
-factorization its record carries, and runs the five-branch engine for it;
-``verify_theorem`` runs the engine on every record, and builds the reports
-of the candidates it keeps.
+that does not decide (an unfiltered JSON walk or an unfiltered
+``iter_box``) carries the factorization in every record, or None where
+e = 0 and disc = 0.  CSV writes every row from its record, and
+``monogenic_only`` keeps only the monogenic records.  A JSON line is
+written from its record alone: each verdict's text comes from (b, d, e)
+and the primes of the factorization by the closed form of the index
+criterion (``index_criterion._verdict_texts``), so a search builds no
+verdict.  Only ``iter_box`` builds a report, from the
+factorization its record carries, and runs the five-branch engine for it.
+
+``verify_theorem`` walks no records.  It takes the scan's C4 candidates and
+classifies each on the per-cell route: ``factor_discriminant``, then the
+five-branch engine prime by prime until one divides the index.  So it
+shares no code with the walks, their error records or the closed form, and
+it builds the reports of only the candidates it keeps.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ from .intarith import (
     _sieve_progression,
     primes_upto,
 )
-from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, _verdicts, is_monogenic
+from .monogenic import DegenerateTrinomialError, MonogenicityReport, _report, _verdicts, factor_discriminant, is_monogenic
 from ._scan_py import scan_c4
-from .scan import _check_box
+from .scan import _check_box, scan_c4_candidates
 from .trinomial import (
     Trinomial,
     _c4,
@@ -569,29 +573,23 @@ def verify_theorem(b_bound: int, d_bound: int) -> TheoremVerification:
     invariants split them into three provably distinct fields.  Bounds must
     be at least 5 so the box can contain all three witnesses.
 
-    The candidates are the C4 cells of the box, walked and factored as a
-    ``c4_only`` search does, but not decided: the five-branch engine runs
-    at each prime of a candidate until one divides the index, so the check
-    does not rest on the closed form the deciding searches use.  Only the
-    candidates it keeps get a report.  A cell the factorizer gives up on
-    raises its ``FactorizationIncomplete``.
+    The candidates are the scan's C4 cells of the box
+    (``scan_c4_candidates``), each classified on the per-cell route, not on
+    a search's record walk: ``factor_discriminant`` factors its
+    discriminant, and the five-branch engine runs at each prime until one
+    divides the index.  So the check rests neither on the walk nor on the
+    closed form the deciding searches use.  Only the candidates it keeps
+    get a report.  A cell the factorizer gives up on raises its
+    ``FactorizationIncomplete``, from ``factor_discriminant``.
     """
     if b_bound < 5 or d_bound < 5:
         raise ValueError("bounds below 5 cannot contain the three known witnesses")
     reports = []
-    for item in _items(-b_bound, b_bound, 1, d_bound, True, None, {}, False, _FACTORED):
-        if isinstance(item, SearchError):
-            # the per-cell route gives up on the cell as the walk did, and
-            # raises the factorizer's own FactorizationIncomplete
-            r = is_monogenic(item.trinomial)
-        else:
-            b, d, _, fact = item
-            t = Trinomial(b, d)
-            if any(v.divides_index for v in _verdicts(t, fact.primes())):
-                continue
-            r = _report(t, fact)
-        if r.monogenic:
-            reports.append(r)
+    for b, d in scan_c4_candidates(-b_bound, b_bound, 1, d_bound):
+        t = Trinomial(b, d)
+        fact = factor_discriminant(t)
+        if not any(v.divides_index for v in _verdicts(t, fact.primes())):
+            reports.append(_report(t, fact))
     found = tuple(r.trinomial for r in reports)
     partition = distinct_fields(reports)
     passed = (

@@ -522,6 +522,41 @@ class TestVerifyTheorem:
         reports = [_cell_report(b, d) for b, d in scan_c4(-b_bound, b_bound, 1, d_bound)]
         assert res.found == tuple(r.trinomial for r in reports if r.monogenic)
 
+    @pytest.mark.parametrize("b_bound, d_bound", [(30, 400), (300, 30000)])
+    def test_the_theorem_does_not_use_the_search_walk(self, monkeypatch, b_bound, d_bound):
+        # the check classifies the scan's candidates on the per-cell route,
+        # so it passes with the search's record walk, the closed form and
+        # is_monogenic all gone
+        reports = [_cell_report(b, d) for b, d in scan_c4(-b_bound, b_bound, 1, d_bound)]
+
+        def gone(name):
+            def fail(*args):
+                raise AssertionError(f"verify_theorem reached search.{name}")
+
+            return fail
+
+        for name in ("_items", "_c4_items", "_record", "_least_index_prime", "is_monogenic"):
+            monkeypatch.setattr(search, name, gone(name))
+        res = verify_theorem(b_bound, d_bound)
+        assert res.passed
+        assert res.found == tuple(r.trinomial for r in reports if r.monogenic)
+
+    def test_a_c4_search_and_the_theorem_give_up_alike(self, monkeypatch):
+        # the two routes are separate code: with a budget of one step, the
+        # first error record of a c4 search names the number and the text
+        # of the error verify_theorem raises on the same box
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1)
+        lines = list(search_lines(-3000, 3000, 1, 300000, c4_only=True))
+        errors = [line for line in lines if '"error":' in line]
+        assert len(errors) == 16
+        assert errors[0] == (
+            '{"trinomial":{"b":-2980,"d":94178},'
+            '"error":"factorization of 8503688 exceeded effort budget at cofactor 1062961"}'
+        )
+        with pytest.raises(FactorizationIncomplete) as info:
+            verify_theorem(3000, 300000)
+        assert json.loads(errors[0])["error"] == str(info.value)
+
     @pytest.mark.parametrize("b_bound, d_bound", [(5, 5), (30, 400), (300, 30000)])
     def test_reports_only_the_monogenic_candidates(self, monkeypatch, b_bound, d_bound):
         # the engine stops at a candidate's first prime dividing the index,
