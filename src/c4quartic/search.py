@@ -44,10 +44,12 @@ verdict.  Only ``iter_box`` builds a report, from the
 factorization its record carries, and runs the five-branch engine for it.
 
 ``verify_theorem`` walks no records.  It takes the scan's C4 candidates and
-classifies each on the per-cell route: ``factor_discriminant``, then the
-five-branch engine prime by prime until one divides the index.  So it
-shares no code with the walks, their error records or the closed form, and
-it builds the reports of only the candidates it keeps.
+classifies each on the per-cell route: the five-branch engine at 2, which
+divides every discriminant, then for a candidate that survives 2
+``factor_discriminant`` and the engine at each odd prime until one divides
+the index.  So it shares no code with the walks, their error records or
+the closed form, it factors only the candidates that survive 2, and it
+builds the reports of only the candidates it keeps.
 """
 
 from __future__ import annotations
@@ -575,20 +577,26 @@ def verify_theorem(b_bound: int, d_bound: int) -> TheoremVerification:
 
     The candidates are the scan's C4 cells of the box
     (``scan_c4_candidates``), each classified on the per-cell route, not on
-    a search's record walk: ``factor_discriminant`` factors its
-    discriminant, and the five-branch engine runs at each prime until one
-    divides the index.  So the check rests neither on the walk nor on the
-    closed form the deciding searches use.  Only the candidates it keeps
-    get a report.  A cell the factorizer gives up on raises its
-    ``FactorizationIncomplete``, from ``factor_discriminant``.
+    a search's record walk: the five-branch engine runs at 2 first, and a
+    candidate that survives 2 has its discriminant factored by
+    ``factor_discriminant``, then the engine runs at each odd prime until
+    one divides the index.  So the check rests neither on the walk nor on
+    the closed form the deciding searches use.  Only the candidates it
+    keeps get a report.  A cell the factorizer gives up on raises its
+    ``FactorizationIncomplete``, from ``factor_discriminant``; only a
+    candidate that survives 2 is factored, so only such a one can raise.
     """
     if b_bound < 5 or d_bound < 5:
         raise ValueError("bounds below 5 cannot contain the three known witnesses")
     reports = []
     for b, d in scan_c4_candidates(-b_bound, b_bound, 1, d_bound):
         t = Trinomial(b, d)
+        # 2^4 divides every discriminant 16*d*e^2, so 2 is its least prime
+        # and the engine can rule on it before anything is factored
+        if _verdict(t, 2).divides_index:
+            continue
         fact = factor_discriminant(t)
-        if not any(v.divides_index for v in _verdicts(t, fact.primes())):
+        if not any(v.divides_index for v in _verdicts(t, fact.primes()[1:])):
             reports.append(_report(t, fact))
     found = tuple(r.trinomial for r in reports)
     partition = distinct_fields(reports)

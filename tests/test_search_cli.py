@@ -11,7 +11,7 @@ import c4quartic
 from c4quartic import index_criterion, intarith, search
 from c4quartic._scan_py import _route, _scan_cells, _scan_gaussian, _scan_triples, scan_c4
 from c4quartic.cli import main
-from c4quartic.index_criterion import PrimeVerdict, _verdict_texts
+from c4quartic.index_criterion import PrimeVerdict, _verdict, _verdict_texts
 from c4quartic.intarith import FactorizationIncomplete
 from c4quartic.monogenic import DegenerateTrinomialError, MonogenicityReport, is_monogenic
 from c4quartic.search import (
@@ -574,6 +574,35 @@ class TestVerifyTheorem:
         assert res.passed
         assert len(reports) == len(res.found) == 3
         assert placeholders == []
+
+    @pytest.mark.parametrize("b_bound, d_bound", [(300, 30000), (10000, 1000000)])
+    def test_only_the_candidates_that_survive_2_are_factored(self, monkeypatch, b_bound, d_bound):
+        # the engine rules on 2 before the discriminant is factored; 2 sinks
+        # 807 of the 1194 candidates of the first box, 23534 of 32674 of the second
+        calls = count_calls(monkeypatch, search, "factor_discriminant")
+        res = verify_theorem(b_bound, d_bound)
+        assert len(calls) == {300: 387, 10000: 9140}[b_bound]
+        assert not any(_verdict(t, 2).divides_index for (t,) in calls)
+        assert res.passed
+        assert res.found == (Trinomial(-5, 5), Trinomial(-4, 2), Trinomial(4, 2))
+
+    def test_a_give_up_on_a_candidate_ruled_out_at_2_does_not_raise(self, monkeypatch, capsys):
+        # (2305, 25205) has b = d = 1 mod 4, so 2 divides its index; its
+        # e = 5212205 = 5 * 1021^2 would need the Brent tail, which is never run
+        monkeypatch.setattr(intarith, "_MAX_EFFORT", 1)
+        candidates = [(-5, 5), (-4, 2), (4, 2), (2305, 25205)]
+        monkeypatch.setattr(search, "scan_c4_candidates", lambda *box: candidates)
+        assert verify_theorem(5, 5).passed
+        assert main(["verify-theorem", "--b-bound", "5", "--d-bound", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("b_bound, d_bound", [(30, 400), (300, 30000)])
+    def test_the_engine_at_2_agrees_with_the_per_cell_route(self, b_bound, d_bound):
+        # the rule verify_theorem's loop relies on: the engine sinks a
+        # candidate at 2 exactly where the full route names 2 its failing prime
+        for b, d in scan_c4(-b_bound, b_bound, 1, d_bound):
+            at_2 = _verdict(Trinomial(b, d), 2).divides_index
+            assert at_2 == (_cell_report(b, d).failing_prime() == 2), (b, d)
 
 
 class TestOracleCheck:
